@@ -17,6 +17,7 @@ from ..core import (
     DominanceRelation,
     Solution,
     compare,
+    dominance_masks,
 )
 from .base import Archive, FeedbackSignal, InsertOutcome, outcome_from_transition
 
@@ -157,24 +158,27 @@ class RnArchive(Archive):
         archive scores exactly 1.
         """
         pop = list(population)
-        denom = len(pop) + 1
-        fitness: dict[int, float] = {}
-        strengths: dict[int, float] = {}
-        relations: list[list[DominanceRelation]] = []
-        for e in self._members:
-            rels = [compare(e.objectives, p.objectives, counters) for p in pop]
-            relations.append(rels)
-            covered = sum(
-                1
-                for rel in rels
-                if rel is DominanceRelation.DOMINATES or rel is DominanceRelation.EQUAL
+        members = self._members
+        if counters is not None:
+            # the cost model charges one comparison per (member, population) pair
+            counters.dominance_comparisons += len(members) * len(pop)
+        if members and pop:
+            weak, strict = dominance_masks(
+                np.array([e.objectives.values for e in members], dtype=float),
+                np.array([p.objectives.values for p in pop], dtype=float),
             )
-            strengths[e.id] = covered / denom
-            fitness[e.id] = strengths[e.id]
-        for k, p in enumerate(pop):
-            total = 1.0
-            for e, rels in zip(self._members, relations):
-                if rels[k] is DominanceRelation.DOMINATES:
-                    total += strengths[e.id]
-            fitness[p.id] = total
+            strengths = weak.sum(axis=1) / (len(pop) + 1)
+            # row 0 is the floor of 1, row r the strength of member r - 1 where
+            # it dominates; accumulating down the rows adds them in member
+            # order, exactly as a scalar loop would (a pairwise sum could
+            # differ in the last bit)
+            terms = np.empty((len(members) + 1, len(pop)))
+            terms[0] = 1.0
+            np.multiply(strict, strengths[:, None], out=terms[1:])
+            totals = np.add.accumulate(terms, axis=0)[-1]
+        else:
+            strengths = np.zeros(len(members))
+            totals = np.ones(len(pop))
+        fitness = dict(zip((e.id for e in members), strengths.tolist()))
+        fitness.update(zip((p.id for p in pop), totals.tolist()))
         return fitness

@@ -172,6 +172,33 @@ def nondominated_filter(
     return result
 
 
+def dominance_masks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pareto relations between every row of `a` (n x M) and every row of `b`
+    (k x M), as two (n, k) boolean masks.
+
+    weak[i, j] means a[i] <= b[j] in every component (compare() would say
+    DOMINATES or EQUAL); strict[i, j] means a[i] dominates b[j]. The loop runs
+    over the M columns with one (n, k) comparison each: reducing an (n, k, M)
+    array over its short last axis is several times slower.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
+        )
+    weak = a[:, 0, None] <= b[None, :, 0]
+    better = a[:, 0, None] < b[None, :, 0]
+    scratch = np.empty_like(weak)
+    for col in range(1, a.shape[1]):
+        x = a[:, col, None]
+        y = b[None, :, col]
+        weak &= np.less_equal(x, y, out=scratch)
+        better |= np.less(x, y, out=scratch)
+    better &= weak
+    return weak, better
+
+
 def deterioration_check(
     history: Sequence[Solution], current: Iterable[Solution]
 ) -> int:
@@ -181,14 +208,10 @@ def deterioration_check(
     strictly worse than a point it once held.
     """
     rows = [s.objectives.values for s in history]
-    if not rows:
+    current_rows = [s.objectives.values for s in current]
+    if not rows or not current_rows:
         return 0
-    hist = np.asarray(rows, dtype=float)
-    count = 0
-    for s in current:
-        v = np.asarray(s.objectives.values, dtype=float)
-        leq = (hist <= v).all(axis=1)
-        lt = (hist < v).any(axis=1)
-        if bool((leq & lt).any()):
-            count += 1
-    return count
+    _, strict = dominance_masks(
+        np.array(rows, dtype=float), np.array(current_rows, dtype=float)
+    )
+    return int(strict.any(axis=0).sum())

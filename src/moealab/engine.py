@@ -27,6 +27,7 @@ from .core import (
     ObjectiveVector,
     Solution,
     deterioration_check,
+    dominance_masks,
     dominates,
     nondominated_filter,
 )
@@ -205,19 +206,20 @@ class DeteriorationTracker:
             evicted_rows = np.asarray(
                 [s.objectives.values for s in newly_evicted], dtype=float
             )
-            for m in members:
-                if m.id in self._deteriorated:
-                    continue
-                v = np.asarray(m.objectives.values, dtype=float)
-                if bool(
-                    ((evicted_rows <= v).all(axis=1) & (evicted_rows < v).any(axis=1)).any()
-                ):
-                    self._deteriorated.add(m.id)
+            if members:
+                _, strict = dominance_masks(
+                    evicted_rows,
+                    np.array([s.objectives.values for s in members], dtype=float),
+                )
+                self._deteriorated.update(
+                    m.id for m, beaten in zip(members, strict.any(axis=0).tolist()) if beaten
+                )
             self._append(evicted_rows)
         if accepted and candidate.id in member_ids and self._used:
-            hist = self._rows()
-            v = np.asarray(candidate.objectives.values, dtype=float)
-            if bool(((hist <= v).all(axis=1) & (hist < v).any(axis=1)).any()):
+            _, strict = dominance_masks(
+                self._rows(), np.array([candidate.objectives.values], dtype=float)
+            )
+            if strict.any():
                 self._deteriorated.add(candidate.id)
 
     def count(self) -> int:

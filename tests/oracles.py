@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from moealab import ObjectiveVector, Solution
+from moealab import Counters, DominanceRelation, ObjectiveVector, Solution, compare
 
 
 def oracle_front_indices(vectors: list[tuple[float, ...]]) -> list[int]:
@@ -39,6 +39,53 @@ def oracle_front_values(vectors: list[tuple[float, ...]]) -> set[tuple[float, ..
 
 def oracle_pairwise_nondominating(vectors: list[tuple[float, ...]]) -> bool:
     return len(oracle_front_indices(vectors)) == len(vectors)
+
+
+def strength_fitness_oracle(
+    members: list[Solution], population: list[Solution], counters: Counters | None = None
+) -> dict[int, float]:
+    """SPEA-style strength fitness by one scalar compare() per (member, population)
+    pair, summing each population member's strengths in member order."""
+    denom = len(population) + 1
+    fitness: dict[int, float] = {}
+    strengths: dict[int, float] = {}
+    relations: list[list[DominanceRelation]] = []
+    for e in members:
+        rels = [compare(e.objectives, p.objectives, counters) for p in population]
+        relations.append(rels)
+        covered = sum(
+            1
+            for rel in rels
+            if rel is DominanceRelation.DOMINATES or rel is DominanceRelation.EQUAL
+        )
+        strengths[e.id] = covered / denom
+        fitness[e.id] = strengths[e.id]
+    for k, p in enumerate(population):
+        total = 1.0
+        for e, rels in zip(members, relations):
+            if rels[k] is DominanceRelation.DOMINATES:
+                total += strengths[e.id]
+        fitness[p.id] = total
+    return fitness
+
+
+def oracle_deterioration_count(
+    history: list[Solution], current: list[Solution]
+) -> int:
+    """Members of `current` strictly dominated by some point of `history`, by a
+    plain loop over every pair."""
+    count = 0
+    for s in current:
+        beaten = False
+        for h in history:
+            hv, sv = h.objectives.values, s.objectives.values
+            leq = all(hv[k] <= sv[k] for k in range(len(sv)))
+            lt = any(hv[k] < sv[k] for k in range(len(sv)))
+            if leq and lt:
+                beaten = True
+        if beaten:
+            count += 1
+    return count
 
 
 def oracle_gd(front: list[tuple[float, ...]], reference: list[tuple[float, ...]]) -> float:

@@ -12,6 +12,7 @@ from oracles import (
     oracle_pairwise_nondominating,
     random_solutions,
     sol,
+    strength_fitness_oracle,
     tradeoff_solutions,
 )
 
@@ -157,6 +158,52 @@ class TestStrengthFitness:
         fitness = archive.strength_fitness(population)
         # the archive member beats every population member
         assert fitness[9] < fitness[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_scalar_oracle_on_random_streams(self, seed):
+        # lattice points as well as continuous ones, so ties and duplicates occur
+        rng = np.random.default_rng(seed)
+        archive = RnArchive(capacity=12)
+        counters = Counters()
+        for i in range(60):
+            if seed % 2:
+                values = tuple(float(x) for x in rng.integers(0, 5, size=3))
+            else:
+                values = tuple(float(x) for x in rng.random(2))
+            archive.try_insert(sol(i, values), counters)
+        for size in (0, 1, 7, 40):
+            if seed % 2:
+                population = [
+                    sol(100 + k, tuple(float(x) for x in rng.integers(0, 5, size=3)))
+                    for k in range(size)
+                ]
+            else:
+                population = random_solutions(rng, size, start_id=100)
+            # population members that are also archive members share their id
+            population += archive.members()[: size // 4]
+            got_counters, want_counters = Counters(), Counters()
+            got = archive.strength_fitness(population, got_counters)
+            want = strength_fitness_oracle(archive.members(), population, want_counters)
+            assert got == want
+            assert got_counters.dominance_comparisons == want_counters.dominance_comparisons
+
+    def test_empty_archive_and_population_match_oracle(self):
+        population = [sol(0, (1.0, 1.0)), sol(1, (2.0, 2.0))]
+        empty = RnArchive(5)
+        for pop in (population, []):
+            got_counters, want_counters = Counters(), Counters()
+            assert empty.strength_fitness(pop, got_counters) == strength_fitness_oracle(
+                [], pop, want_counters
+            )
+            assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0
+        archive = RnArchive(5)
+        archive.try_insert(sol(9, (0.0, 3.0)), Counters())
+        archive.try_insert(sol(10, (3.0, 0.0)), Counters())
+        got_counters, want_counters = Counters(), Counters()
+        assert archive.strength_fitness([], got_counters) == strength_fitness_oracle(
+            archive.members(), [], want_counters
+        )
+        assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0
 
 
 class TestRnInvariants:

@@ -11,6 +11,7 @@ from moealab import (
     Solution,
     compare,
     deterioration_check,
+    dominance_masks,
     nondominated_filter,
 )
 from oracles import oracle_front_values, oracle_pairwise_nondominating, sol
@@ -143,6 +144,47 @@ class TestNondominatedFilter:
         forward = {s.id for s in nondominated_filter(solutions)}
         backward = {s.id for s in nondominated_filter(list(reversed(solutions)))}
         assert forward == backward
+
+
+def lattice_rows(m: int, max_rows: int = 6):
+    # small integer coordinates, so ties and duplicate rows are common
+    return st.lists(
+        st.tuples(*[st.integers(0, 3)] * m), min_size=0, max_size=max_rows
+    )
+
+
+class TestDominanceMasks:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_compare(self, m, data):
+        a_rows = data.draw(lattice_rows(m))
+        b_rows = data.draw(lattice_rows(m))
+        a = np.array(a_rows, dtype=float).reshape(len(a_rows), m)
+        b = np.array(b_rows, dtype=float).reshape(len(b_rows), m)
+        weak, strict = dominance_masks(a, b)
+        assert weak.shape == strict.shape == (len(a_rows), len(b_rows))
+        for i, x in enumerate(a_rows):
+            for j, y in enumerate(b_rows):
+                rel = compare(vec(*x), vec(*y))
+                assert weak[i, j] == (
+                    rel is DominanceRelation.DOMINATES or rel is DominanceRelation.EQUAL
+                )
+                assert strict[i, j] == (rel is DominanceRelation.DOMINATES)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_empty_side(self, m):
+        rows = np.arange(3 * m, dtype=float).reshape(3, m)
+        empty = np.empty((0, m))
+        for a, b, shape in ((empty, rows, (0, 3)), (rows, empty, (3, 0)), (empty, empty, (0, 0))):
+            weak, strict = dominance_masks(a, b)
+            assert weak.shape == strict.shape == shape
+
+    def test_mismatched_dimension_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            dominance_masks(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            dominance_masks(np.zeros((0, 2)), np.zeros((1, 5)))
 
 
 class TestDeteriorationCheck:

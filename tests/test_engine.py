@@ -16,7 +16,13 @@ from moealab import (
     update_population,
 )
 from moealab.archives import FeedbackSignal
-from oracles import oracle_front_values, oracle_pairwise_nondominating
+from moealab.engine import DeteriorationTracker
+from oracles import (
+    oracle_deterioration_count,
+    oracle_front_values,
+    oracle_pairwise_nondominating,
+    sol,
+)
 
 
 def small_config(**overrides):
@@ -282,6 +288,38 @@ class TestRun:
                     state.archive.evicted_log, state.archive.members()
                 )
                 assert stats.deterioration_events == expected
+                # the tracker and deterioration_check share one kernel; the
+                # plain-loop oracle keeps the check independent of it
+                assert stats.deterioration_events == oracle_deterioration_count(
+                    state.archive.evicted_log, state.archive.members()
+                )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tracker_matches_oracle_on_arbitrary_evictions(self, seed):
+        # archivers evict mutually nondominated points, so a run rarely makes
+        # one eviction batch dominate some members and not others; a stub
+        # archive with random evictions does so on most steps
+        class Store:
+            def __init__(self):
+                self.current = []
+
+            def members(self):
+                return list(self.current)
+
+        rng = np.random.default_rng(seed)
+        tracker = DeteriorationTracker(2)
+        store = Store()
+        history = []
+        for i in range(300):
+            candidate = sol(i, tuple(float(x) for x in rng.integers(0, 6, size=2)))
+            evicted = [m for m in store.current if rng.random() < 0.2]
+            store.current = [m for m in store.current if m not in evicted]
+            accepted = bool(rng.random() < 0.7)
+            if accepted:
+                store.current.append(candidate)
+            history += evicted
+            tracker.observe(store, candidate, accepted, evicted)
+            assert tracker.count() == oracle_deterioration_count(history, store.current)
 
     def test_summary_reports_gps_monotonicity(self):
         config = RunConfig(
