@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from ..core import Counters, Solution, nondominated_filter
+import numpy as np
+
+from ..core import Counters, Solution, dominance_masks, nondominated_filter
 
 
 class InsertStatus(Enum):
@@ -74,6 +76,60 @@ class Archive(ABC):
         points; removes the tolerated dominated incumbents otherwise.
         """
         return nondominated_filter(self.members())
+
+
+class NondominatedStore(Archive):
+    """An archive whose members never weakly dominate one another, with their
+    objectives kept as an (n, M) array whose row i is member i's objectives.
+
+    Every change of membership goes through _append and _retain, which keep
+    the list and the array in step.
+    """
+
+    def __init__(self) -> None:
+        self._members: list[Solution] = []
+        self._objectives = np.empty((0, 0))
+        self.evicted_log: list[Solution] = []
+
+    def members(self) -> list[Solution]:
+        return list(self._members)
+
+    def _sweep(self, candidate: Solution, counters: Counters) -> np.ndarray | None:
+        """Test the candidate against every member: None when some member
+        weakly dominates it (rejection), else the mask of members it dominates.
+
+        Charges what a member-order scan with one compare() per member would:
+        up to and including the first rejecting member, otherwise all of them.
+        """
+        n = len(self._members)
+        if not n:
+            return np.zeros(0, dtype=bool)
+        row = np.array([candidate.objectives.values], dtype=float)
+        covers, _ = dominance_masks(self._objectives, row)
+        first = int(covers.argmax())
+        if covers[first, 0]:
+            counters.dominance_comparisons += first + 1
+            return None
+        counters.dominance_comparisons += n
+        _, beaten = dominance_masks(row, self._objectives)
+        return beaten[0]
+
+    def _append(self, member: Solution) -> None:
+        row = np.array([member.objectives.values], dtype=float)
+        self._objectives = (
+            np.concatenate((self._objectives, row)) if self._members else row
+        )
+        self._members.append(member)
+
+    def _retain(self, keep: np.ndarray) -> list[Solution]:
+        """Keep the members where the boolean mask is set, in their order;
+        returns the others, in member order."""
+        flags = keep.tolist()
+        dropped = [m for m, k in zip(self._members, flags) if not k]
+        if dropped:
+            self._members = [m for m, k in zip(self._members, flags) if k]
+            self._objectives = self._objectives[keep]
+        return dropped
 
 
 def outcome_from_transition(

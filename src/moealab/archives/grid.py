@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import (
-    Counters,
-    DominanceRelation,
-    ObjectiveVector,
-    Solution,
-    compare,
+import numpy as np
+
+from ..core import Counters, ObjectiveVector, Solution
+from .base import (
+    FeedbackSignal,
+    InsertOutcome,
+    NondominatedStore,
+    outcome_from_transition,
 )
-from .base import Archive, FeedbackSignal, InsertOutcome, outcome_from_transition
 
 
 class OutOfBoundsError(ValueError):
@@ -75,7 +76,7 @@ def cell_of(
     return CellIndex(tuple(coords))
 
 
-class GridArchive(Archive):
+class GridArchive(NondominatedStore):
     """Bounded nondominated store over an adaptive grid."""
 
     def __init__(self, capacity: int, spec: GridSpec, inflation: float = 0.1):
@@ -83,16 +84,12 @@ class GridArchive(Archive):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if inflation < 0:
             raise ValueError(f"inflation must be >= 0, got {inflation}")
+        super().__init__()
         self.capacity = capacity
         self.spec = spec
         self.inflation = inflation
-        self._members: list[Solution] = []
         self._cell_by_id: dict[int, CellIndex] = {}
         self._occupancy: dict[CellIndex, list[int]] = {}
-        self.evicted_log: list[Solution] = []
-
-    def members(self) -> list[Solution]:
-        return list(self._members)
 
     def cell_occupancy(self) -> dict[CellIndex, tuple[int, ...]]:
         """Snapshot of cell -> member ids (occupied cells only)."""
@@ -103,24 +100,16 @@ class GridArchive(Archive):
     ) -> tuple[InsertOutcome, FeedbackSignal]:
         before = list(self._members)
         start = counters.dominance_comparisons
-        beaten: list[Solution] = []
-        rejected = False
-        for m in self._members:
-            rel = compare(candidate.objectives, m.objectives, counters)
-            if rel is DominanceRelation.DOMINATED_BY or rel is DominanceRelation.EQUAL:
-                rejected = True
-                break
-            if rel is DominanceRelation.DOMINATES:
-                beaten.append(m)
+        beaten = self._sweep(candidate, counters)
 
-        if rejected:
+        if beaten is None:
             used = counters.dominance_comparisons - start
             outcome = outcome_from_transition(before, self._members, candidate, used)
             hint = self._occupancy_near(candidate.objectives)
             return outcome, FeedbackSignal(False, hint, len(self._members))
 
-        for m in beaten:
-            self._remove(m)
+        for m in self._retain(~beaten):
+            self._vacate(m)
             self.evicted_log.append(m)
 
         if not self.spec.contains(candidate.objectives):
@@ -133,8 +122,10 @@ class GridArchive(Archive):
             crowded_cell, crowd = self._most_occupied()
             if len(self._occupancy.get(cell, ())) < crowd:
                 victim_id = min(self._occupancy[crowded_cell])
-                victim = next(m for m in self._members if m.id == victim_id)
-                self._remove(victim)
+                (victim,) = self._retain(
+                    np.array([m.id != victim_id for m in self._members])
+                )
+                self._vacate(victim)
                 self.evicted_log.append(victim)
                 self._add(candidate, cell)
             # else: candidate's cell is at least as crowded; rejected
@@ -177,12 +168,12 @@ class GridArchive(Archive):
         return self.spec
 
     def _add(self, member: Solution, cell: CellIndex) -> None:
-        self._members.append(member)
+        self._append(member)
         self._cell_by_id[member.id] = cell
         self._occupancy.setdefault(cell, []).append(member.id)
 
-    def _remove(self, member: Solution) -> None:
-        self._members.remove(member)
+    def _vacate(self, member: Solution) -> None:
+        """Take a member that has left the store out of its cell."""
         cell = self._cell_by_id.pop(member.id)
         ids = self._occupancy[cell]
         ids.remove(member.id)

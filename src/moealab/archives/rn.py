@@ -8,54 +8,39 @@ point that dominates a later-retained one (see the deterioration tests).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
-from ..core import (
-    Counters,
-    DominanceRelation,
-    Solution,
-    compare,
-    dominance_masks,
+from ..core import Counters, Solution, dominance_masks
+from .base import (
+    FeedbackSignal,
+    InsertOutcome,
+    NondominatedStore,
+    outcome_from_transition,
 )
-from .base import Archive, FeedbackSignal, InsertOutcome, outcome_from_transition
 
 
-class RnArchive(Archive):
+class RnArchive(NondominatedStore):
     """Bounded nondominated store with clustering-based crowding control."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__()
         self.capacity = capacity
-        self._members: list[Solution] = []
-        self.evicted_log: list[Solution] = []
-
-    def members(self) -> list[Solution]:
-        return list(self._members)
 
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
         before = list(self._members)
         start = counters.dominance_comparisons
-        kept: list[Solution] = []
-        beaten: list[Solution] = []
-        rejected = False
-        for m in self._members:
-            rel = compare(candidate.objectives, m.objectives, counters)
-            if rel is DominanceRelation.DOMINATED_BY or rel is DominanceRelation.EQUAL:
-                rejected = True
-                break
-            if rel is DominanceRelation.DOMINATES:
-                beaten.append(m)
-            else:
-                kept.append(m)
+        beaten = self._sweep(candidate, counters)
         hint = self._crowding_hint(candidate, before)
-        if not rejected:
-            self.evicted_log.extend(beaten)
-            self._members = kept + [candidate]
+        if beaten is not None:
+            self.evicted_log.extend(self._retain(~beaten))
+            self._append(candidate)
             if len(self._members) > self.capacity:
                 self.cluster_truncate(self.capacity)
         used = counters.dominance_comparisons - start
@@ -63,12 +48,13 @@ class RnArchive(Archive):
         return outcome, FeedbackSignal(outcome.accepted, hint, len(self._members))
 
     def _crowding_hint(self, candidate: Solution, members: list[Solution]) -> float:
-        # 1/(1+d_nn): bounded, higher means a denser neighbourhood
+        # 1/(1+d_nn): bounded, higher means a denser neighbourhood. math.dist
+        # directly, as distance_to would call it: the sweep has already
+        # checked that the dimensions agree
         if not members:
             return 0.0
-        nearest = min(
-            candidate.objectives.distance_to(m.objectives) for m in members
-        )
+        values = candidate.objectives.values
+        nearest = min(math.dist(values, m.objectives.values) for m in members)
         return 1.0 / (1.0 + nearest)
 
     def cluster_truncate(self, target: int) -> list[Solution]:
@@ -85,7 +71,7 @@ class RnArchive(Archive):
         n = len(self._members)
         if n <= target:
             return []
-        objs = np.array([m.objectives.values for m in self._members], dtype=float)
+        objs = self._objectives
         diff = objs[:, None, :] - objs[None, :, :]
         point_dist = np.sqrt((diff * diff).sum(axis=2))
 
@@ -141,8 +127,9 @@ class RnArchive(Archive):
                     best = (key, i)
             keep.add(best[1])
 
-        evicted = [m for k, m in enumerate(self._members) if k not in keep]
-        self._members = [m for k, m in enumerate(self._members) if k in keep]
+        mask = np.zeros(n, dtype=bool)
+        mask[list(keep)] = True
+        evicted = self._retain(mask)
         self.evicted_log.extend(evicted)
         return evicted
 
@@ -164,7 +151,7 @@ class RnArchive(Archive):
             counters.dominance_comparisons += len(members) * len(pop)
         if members and pop:
             weak, strict = dominance_masks(
-                np.array([e.objectives.values for e in members], dtype=float),
+                self._objectives,
                 np.array([p.objectives.values for p in pop], dtype=float),
             )
             strengths = weak.sum(axis=1) / (len(pop) + 1)

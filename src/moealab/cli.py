@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .core import Counters, Solution
 from .engine import (
+    ARCHIVE_KINDS,
     ArchiveConfig,
     ConfigError,
     RunConfig,
@@ -80,8 +81,6 @@ _COMPARE_KEYS = {
     "variants",
 }
 _VARIANT_KEYS = {"name", "archive", "preset", "variation", "local_search"}
-
-_ORACLE_CHECK_KINDS = ("rn", "grid", "gps")
 
 
 def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
@@ -328,7 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
     if len(sizes) < 2:
         raise ConfigError("sweep needs at least 2 sizes")
-    if args.archiver not in _ORACLE_CHECK_KINDS:
+    if args.archiver not in ARCHIVE_KINDS:
         raise ConfigError(f"unknown archiver {args.archiver!r}")
     report = complexity_sweep(args.archiver, sizes, args.seed)
     out = Path(args.out)
@@ -358,7 +357,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     problem = get_problem(f"lattice:{args.k}:{args.seed}")
     oracle = {v.values for v in brute_force_front(problem)}
     failures = 0
-    for kind in _ORACLE_CHECK_KINDS:
+    for kind in ARCHIVE_KINDS:
         archive_config = ArchiveConfig(
             kind=kind,
             capacity=args.capacity,
@@ -416,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="measure dominance cost vs archive size")
-    p_sweep.add_argument("--archiver", required=True, choices=_ORACLE_CHECK_KINDS)
+    p_sweep.add_argument("--archiver", required=True, choices=ARCHIVE_KINDS)
     p_sweep.add_argument(
         "--sizes", default="25,50,100,200", help="comma-separated archive sizes"
     )

@@ -304,7 +304,8 @@ def initialize(config: RunConfig) -> RunState:
     )
     for _ in range(config.population_size):
         genome = tuple(
-            lo + (hi - lo) * rng.random() for lo, hi in problem.bounds
+            lo + (hi - lo) * r
+            for (lo, hi), r in zip(problem.bounds, rng.random(problem.n_var).tolist())
         )
         sol = Solution(next(ids), genome)
         sol.objectives = _evaluate(state, genome)

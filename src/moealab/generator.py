@@ -96,40 +96,75 @@ def generate(
     per-gene polynomial mutation, clamped to bounds.
 
     Identical (rng state, parents, config) always yields an identical child.
+    The uniforms are drawn in blocks, but a block only ever holds draws that
+    one rng.random() call per draw would also have made, and Generator.random(k)
+    yields the same doubles as k scalar calls, so the child and the rng state
+    afterwards are the same as drawing one at a time. The arithmetic stays on
+    Python floats: numpy's power is not bit-identical to Python's ** on every
+    host (SIMD builds round some results differently).
     """
-    p1, p2 = parents
-    n = len(p1.genome)
+    x1s, x2s = parents[0].genome, parents[1].genome
+    n = len(x1s)
     mutation_prob = config.mutation_prob if config.mutation_prob is not None else 1.0 / n
-    eta_c = config.crossover_spread
+    crossover_prob = config.crossover_prob
+    exponent_c = 1.0 / (config.crossover_spread + 1.0)
     eta_m = config.mutation_spread
+    # floor[k]: the draws genes k.. make whatever the draws turn out to be, one
+    # crossover test each plus a mutation test where the gene has width
+    floor = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        lo, hi = bounds[k]
+        floor[k] = floor[k + 1] + (2 if hi > lo else 1)
+    # a refill happens only once the block is used up, and draws what the
+    # current gene is now certain to take plus the floor of the later genes
+    block: list[float] = []
+    pos = 0
     genome = []
     for k in range(n):
         lo, hi = bounds[k]
-        x1, x2 = p1.genome[k], p2.genome[k]
-        if rng.random() < config.crossover_prob:
-            u = rng.random()
+        wide = hi > lo
+        later = floor[k + 1]
+        if pos == len(block):
+            block, pos = rng.random(later + 1 + wide).tolist(), 0
+        r = block[pos]
+        pos += 1
+        if r < crossover_prob:
+            if pos == len(block):
+                block, pos = rng.random(later + 2 + wide).tolist(), 0
+            u = block[pos]
+            pos += 1
             if u <= 0.5:
-                beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
+                beta = (2.0 * u) ** exponent_c
             else:
-                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
-            c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
-            c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
-            g = c1 if rng.random() < 0.5 else c2
+                beta = (1.0 / (2.0 * (1.0 - u))) ** exponent_c
+            x1, x2 = x1s[k], x2s[k]
+            if pos == len(block):
+                block, pos = rng.random(later + 1 + wide).tolist(), 0
+            if block[pos] < 0.5:
+                g = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
+            else:
+                g = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
+            pos += 1
         else:
-            g = x1
-        if hi > lo and rng.random() < mutation_prob:
-            g = _polynomial_mutation(g, lo, hi, eta_m, rng)
+            g = x1s[k]
+        if wide:
+            if pos == len(block):
+                block, pos = rng.random(later + 1).tolist(), 0
+            r = block[pos]
+            pos += 1
+            if r < mutation_prob:
+                if pos == len(block):
+                    block, pos = rng.random(later + 1).tolist(), 0
+                g = _polynomial_mutation(g, lo, hi, eta_m, block[pos])
+                pos += 1
         genome.append(min(hi, max(lo, g)))
     return Solution(next(ids), tuple(genome))
 
 
-def _polynomial_mutation(
-    x: float, lo: float, hi: float, eta: float, rng: np.random.Generator
-) -> float:
+def _polynomial_mutation(x: float, lo: float, hi: float, eta: float, u: float) -> float:
     span = hi - lo
     delta_l = (x - lo) / span
     delta_r = (hi - x) / span
-    u = rng.random()
     if u < 0.5:
         xy = 1.0 - delta_l
         val = 2.0 * u + (1.0 - 2.0 * u) * xy ** (eta + 1.0)

@@ -11,7 +11,17 @@ import math
 
 import numpy as np
 
-from moealab import Counters, DominanceRelation, ObjectiveVector, Solution, compare
+from moealab import (
+    Counters,
+    DominanceRelation,
+    GridArchive,
+    ObjectiveVector,
+    RnArchive,
+    Solution,
+    VariationConfig,
+    compare,
+)
+from moealab.generator import _polynomial_mutation
 
 
 def oracle_front_indices(vectors: list[tuple[float, ...]]) -> list[int]:
@@ -69,6 +79,35 @@ def strength_fitness_oracle(
     return fitness
 
 
+def scalar_sweep(
+    members: list[Solution], candidate: Solution, counters: Counters
+) -> np.ndarray | None:
+    """The archive sweep as one compare() per member in member order, stopping
+    at the first member that dominates or equals the candidate (None then);
+    otherwise the mask of members the candidate dominates."""
+    beaten = []
+    for m in members:
+        rel = compare(candidate.objectives, m.objectives, counters)
+        if rel is DominanceRelation.DOMINATED_BY or rel is DominanceRelation.EQUAL:
+            return None
+        beaten.append(rel is DominanceRelation.DOMINATES)
+    return np.array(beaten, dtype=bool)
+
+
+class ScalarSweepRn(RnArchive):
+    """RnArchive with the broadcast sweep replaced by scalar_sweep."""
+
+    def _sweep(self, candidate, counters):
+        return scalar_sweep(self._members, candidate, counters)
+
+
+class ScalarSweepGrid(GridArchive):
+    """GridArchive with the broadcast sweep replaced by scalar_sweep."""
+
+    def _sweep(self, candidate, counters):
+        return scalar_sweep(self._members, candidate, counters)
+
+
 def oracle_deterioration_count(
     history: list[Solution], current: list[Solution]
 ) -> int:
@@ -86,6 +125,41 @@ def oracle_deterioration_count(
         if beaten:
             count += 1
     return count
+
+
+def generate_oracle(
+    parents: tuple[Solution, Solution],
+    config: VariationConfig,
+    bounds,
+    rng: np.random.Generator,
+    ids,
+) -> Solution:
+    """generate() drawing every uniform with its own rng.random() call, in the
+    order the operators consume them."""
+    p1, p2 = parents
+    n = len(p1.genome)
+    mutation_prob = config.mutation_prob if config.mutation_prob is not None else 1.0 / n
+    eta_c = config.crossover_spread
+    eta_m = config.mutation_spread
+    genome = []
+    for k in range(n):
+        lo, hi = bounds[k]
+        x1, x2 = p1.genome[k], p2.genome[k]
+        if rng.random() < config.crossover_prob:
+            u = rng.random()
+            if u <= 0.5:
+                beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
+            else:
+                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
+            c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
+            c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
+            g = c1 if rng.random() < 0.5 else c2
+        else:
+            g = x1
+        if hi > lo and rng.random() < mutation_prob:
+            g = _polynomial_mutation(g, lo, hi, eta_m, rng.random())
+        genome.append(min(hi, max(lo, g)))
+    return Solution(next(ids), tuple(genome))
 
 
 def oracle_gd(front: list[tuple[float, ...]], reference: list[tuple[float, ...]]) -> float:

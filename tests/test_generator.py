@@ -6,19 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moealab import (
+    ArchiveConfig,
     Counters,
     DominanceRelation,
     LocalSearchConfig,
     ObjectiveVector,
+    RunConfig,
     Solution,
     VariationConfig,
     compare,
     generate,
     get_problem,
     local_search,
+    run,
     select_parents,
 )
 from moealab.problems import evaluate
+from oracles import generate_oracle
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0), (-2.0, 3.0))
 
@@ -157,6 +161,74 @@ class TestGenerate:
         )
         for g, (low, high) in zip(child.genome, BOUNDS):
             assert low <= g <= high
+
+
+@st.composite
+def variation_cases(draw):
+    """Bounds with some zero-width genes, parents inside them, and a config
+    whose probabilities include the 0 and 1 edges; spreads are integral."""
+    n = draw(st.integers(1, 40))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.floats(-5.0, 5.0))
+        width = draw(st.sampled_from([0.0, 0.5, 1.0, 7.0]))
+        bounds.append((lo, lo + width))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n))
+    g1, g2 = (
+        tuple(lo + f * (hi - lo) for (lo, hi), f in zip(bounds, part))
+        for part in (fractions[:n], fractions[n:])
+    )
+    unit = st.floats(0.0, 1.0)
+    config = VariationConfig(
+        crossover_prob=draw(st.sampled_from([0.0, 1.0]) | unit),
+        crossover_spread=float(draw(st.integers(1, 30))),
+        mutation_prob=draw(st.sampled_from([None, 0.0, 1.0]) | unit),
+        mutation_spread=float(draw(st.integers(1, 30))),
+    )
+    return tuple(bounds), parent(0, g1), parent(1, g2), config
+
+
+class TestGenerateStreamParity:
+    """generate() draws its uniforms in blocks; the children and the rng state
+    must equal those of one rng.random() call per draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(variation_cases(), st.integers(0, 2**32 - 1))
+    def test_children_and_rng_state_match_scalar_draws(self, case, seed):
+        bounds, p1, p2, config = case
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ids, oracle_ids = itertools.count(2), itertools.count(2)
+        for _ in range(3):
+            try:
+                expected = generate_oracle((p1, p2), config, bounds, oracle_rng, oracle_ids)
+            except TypeError:
+                # mutation of an out-of-bounds crossover child (see
+                # test_mutation_of_an_out_of_bounds_child_crashes)
+                with pytest.raises(TypeError):
+                    generate((p1, p2), config, bounds, rng, ids)
+                return
+            child = generate((p1, p2), config, bounds, rng, ids)
+            assert child.id == expected.id
+            assert child.genome == expected.genome
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            p1, p2 = child, p1
+
+    @pytest.mark.xfail(strict=True, raises=TypeError)
+    def test_mutation_of_an_out_of_bounds_child_crashes(self):
+        # polynomial mutation runs on the unclamped crossover child; below the
+        # lower bound its base is negative, and a negative float raised to a
+        # non-integral power is complex, so max(lo, g) raises TypeError.
+        # Clamping the child first fixes it but changes every run's output
+        run(
+            RunConfig(
+                problem="zdt1",
+                archive=ArchiveConfig("grid", capacity=100),
+                population_size=40,
+                max_evaluations=3000,
+                variation=VariationConfig(mutation_spread=20.5),
+                seed=0,
+            )
+        )
 
 
 class TestLocalSearch:
