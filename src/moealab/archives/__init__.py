@@ -3,7 +3,6 @@ from .base import (
     FeedbackSignal,
     InsertOutcome,
     InsertStatus,
-    outcome_from_transition,
 )
 from .gps import DegenerateDirectionError, GpsArchive, RayIndex, RaySpec, ray_of
 from .grid import CellIndex, GridArchive, GridSpec, OutOfBoundsError, cell_of
@@ -24,6 +23,5 @@ __all__ = [
     "RaySpec",
     "RnArchive",
     "cell_of",
-    "outcome_from_transition",
     "ray_of",
 ]

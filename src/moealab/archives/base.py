@@ -27,18 +27,43 @@ class InsertStatus(Enum):
 class InsertOutcome:
     """Result of one insertion attempt.
 
+    departed holds every solution that left the store during the call, in the
+    order it left: members the candidate dominated or displaced, and an rn
+    candidate that was admitted and then truncated away in the same call. The
+    archive keeps none of them; this is the only record of an eviction.
+
     evicted_ids lists only solutions that were members before the call; a
     candidate that is accepted and immediately truncated away nets out to
-    REJECTED with no evictions reported.
+    REJECTED with no evictions reported, though it is in departed.
     """
 
     status: InsertStatus
-    evicted_ids: tuple[int, ...] = ()
+    departed: tuple[Solution, ...] = ()
     dominance_comparisons_used: int = 0
+
+    @classmethod
+    def of(
+        cls, kept: bool, departed: Sequence[Solution], comparisons_used: int
+    ) -> InsertOutcome:
+        """The outcome of a call that kept the candidate or not and removed
+        `departed` from the store."""
+        if not kept:
+            status = InsertStatus.REJECTED
+        elif departed:
+            status = InsertStatus.ACCEPTED_REPLACING
+        else:
+            status = InsertStatus.ACCEPTED_NEW
+        return cls(status, tuple(departed), comparisons_used)
 
     @property
     def accepted(self) -> bool:
         return self.status is not InsertStatus.REJECTED
+
+    @property
+    def evicted_ids(self) -> tuple[int, ...]:
+        if not self.accepted:
+            return ()
+        return tuple(s.id for s in self.departed)
 
 
 @dataclass(frozen=True)
@@ -56,8 +81,6 @@ class FeedbackSignal:
 
 class Archive(ABC):
     """One archive instance is confined to a single run's engine thread."""
-
-    evicted_log: list[Solution]
 
     @abstractmethod
     def try_insert(
@@ -89,7 +112,6 @@ class NondominatedStore(Archive):
     def __init__(self) -> None:
         self._members: list[Solution] = []
         self._objectives = np.empty((0, 0))
-        self.evicted_log: list[Solution] = []
 
     def members(self) -> list[Solution]:
         return list(self._members)
@@ -130,21 +152,3 @@ class NondominatedStore(Archive):
             self._members = [m for m, k in zip(self._members, flags) if k]
             self._objectives = self._objectives[keep]
         return dropped
-
-
-def outcome_from_transition(
-    before: Sequence[Solution],
-    after: Sequence[Solution],
-    candidate: Solution,
-    comparisons_used: int,
-) -> InsertOutcome:
-    """Derive the outcome from the membership change, so outcome and state
-    agree by construction."""
-    after_ids = {s.id for s in after}
-    evicted = tuple(s.id for s in before if s.id not in after_ids)
-    if candidate.id not in after_ids:
-        assert not evicted, "a rejected insertion must not change membership"
-        return InsertOutcome(InsertStatus.REJECTED, (), comparisons_used)
-    if evicted:
-        return InsertOutcome(InsertStatus.ACCEPTED_REPLACING, evicted, comparisons_used)
-    return InsertOutcome(InsertStatus.ACCEPTED_NEW, (), comparisons_used)

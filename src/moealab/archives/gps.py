@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ..core import Counters, ObjectiveVector, Solution
-from .base import Archive, FeedbackSignal, InsertOutcome, InsertStatus
+from .base import Archive, FeedbackSignal, InsertOutcome
 
 
 class DegenerateDirectionError(ValueError):
@@ -78,7 +78,6 @@ class GpsArchive(Archive):
     def __init__(self, spec: RaySpec):
         self.spec = spec
         self.incumbents: dict[RayIndex, Solution] = {}
-        self.evicted_log: list[Solution] = []
         # counts replacements that increased the distance; 0 by construction
         self.monotonicity_violations = 0
 
@@ -100,7 +99,7 @@ class GpsArchive(Archive):
         if incumbent is None:
             self.incumbents[ray] = candidate
             used = counters.dominance_comparisons - start
-            outcome = InsertOutcome(InsertStatus.ACCEPTED_NEW, (), used)
+            outcome = InsertOutcome.of(True, (), used)
             return outcome, FeedbackSignal(True, 0.0, len(self.incumbents))
 
         # exactly one comparison: the incumbent of the candidate's own ray
@@ -110,12 +109,9 @@ class GpsArchive(Archive):
         used = counters.dominance_comparisons - start
         if d_new < d_old:
             self.incumbents[ray] = candidate
-            self.evicted_log.append(incumbent)
             if d_new > d_old:  # unreachable; kept as a cheap tripwire
                 self.monotonicity_violations += 1
-            outcome = InsertOutcome(
-                InsertStatus.ACCEPTED_REPLACING, (incumbent.id,), used
-            )
+            outcome = InsertOutcome.of(True, (incumbent,), used)
             return outcome, FeedbackSignal(True, 1.0, len(self.incumbents))
-        outcome = InsertOutcome(InsertStatus.REJECTED, (), used)
+        outcome = InsertOutcome.of(False, (), used)
         return outcome, FeedbackSignal(False, 1.0, len(self.incumbents))

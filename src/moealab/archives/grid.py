@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import Counters, ObjectiveVector, Solution
-from .base import (
-    FeedbackSignal,
-    InsertOutcome,
-    NondominatedStore,
-    outcome_from_transition,
-)
+from .base import FeedbackSignal, InsertOutcome, NondominatedStore
 
 
 class OutOfBoundsError(ValueError):
@@ -98,42 +93,42 @@ class GridArchive(NondominatedStore):
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
-        before = list(self._members)
         start = counters.dominance_comparisons
         beaten = self._sweep(candidate, counters)
 
         if beaten is None:
             used = counters.dominance_comparisons - start
-            outcome = outcome_from_transition(before, self._members, candidate, used)
+            outcome = InsertOutcome.of(False, (), used)
             hint = self._occupancy_near(candidate.objectives)
             return outcome, FeedbackSignal(False, hint, len(self._members))
 
-        for m in self._retain(~beaten):
+        departed = self._retain(~beaten)
+        for m in departed:
             self._vacate(m)
-            self.evicted_log.append(m)
 
         if not self.spec.contains(candidate.objectives):
             self.adapt_bounds(candidate.objectives, counters)
         cell = cell_of(candidate.objectives, self.spec, counters)
 
-        if len(self._members) < self.capacity:
-            self._add(candidate, cell)
-        else:
+        if len(self._members) >= self.capacity:
             crowded_cell, crowd = self._most_occupied()
+            # the candidate displaces a member of the most crowded cell only
+            # from a strictly less crowded cell of its own; else it is rejected
             if len(self._occupancy.get(cell, ())) < crowd:
                 victim_id = min(self._occupancy[crowded_cell])
                 (victim,) = self._retain(
                     np.array([m.id != victim_id for m in self._members])
                 )
                 self._vacate(victim)
-                self.evicted_log.append(victim)
-                self._add(candidate, cell)
-            # else: candidate's cell is at least as crowded; rejected
+                departed.append(victim)
+        kept = len(self._members) < self.capacity
+        if kept:
+            self._add(candidate, cell)
 
         used = counters.dominance_comparisons - start
-        outcome = outcome_from_transition(before, self._members, candidate, used)
+        outcome = InsertOutcome.of(kept, departed, used)
         hint = float(len(self._occupancy.get(cell, ())))
-        return outcome, FeedbackSignal(outcome.accepted, hint, len(self._members))
+        return outcome, FeedbackSignal(kept, hint, len(self._members))
 
     def adapt_bounds(
         self, v: ObjectiveVector, counters: Counters | None = None

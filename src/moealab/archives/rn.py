@@ -14,12 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core import Counters, Solution, dominance_masks
-from .base import (
-    FeedbackSignal,
-    InsertOutcome,
-    NondominatedStore,
-    outcome_from_transition,
-)
+from .base import FeedbackSignal, InsertOutcome, NondominatedStore
 
 
 class RnArchive(NondominatedStore):
@@ -34,17 +29,19 @@ class RnArchive(NondominatedStore):
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
-        before = list(self._members)
         start = counters.dominance_comparisons
         beaten = self._sweep(candidate, counters)
-        hint = self._crowding_hint(candidate, before)
+        hint = self._crowding_hint(candidate, self._members)
+        departed: list[Solution] = []
         if beaten is not None:
-            self.evicted_log.extend(self._retain(~beaten))
+            departed = self._retain(~beaten)
             self._append(candidate)
             if len(self._members) > self.capacity:
-                self.cluster_truncate(self.capacity)
+                departed += self.cluster_truncate(self.capacity)
+        # truncation keeps member order, so a kept candidate is still last
+        kept = beaten is not None and self._members[-1] is candidate
         used = counters.dominance_comparisons - start
-        outcome = outcome_from_transition(before, self._members, candidate, used)
+        outcome = InsertOutcome.of(kept, departed, used)
         return outcome, FeedbackSignal(outcome.accepted, hint, len(self._members))
 
     def _crowding_hint(self, candidate: Solution, members: list[Solution]) -> float:
@@ -129,9 +126,7 @@ class RnArchive(NondominatedStore):
 
         mask = np.zeros(n, dtype=bool)
         mask[list(keep)] = True
-        evicted = self._retain(mask)
-        self.evicted_log.extend(evicted)
-        return evicted
+        return self._retain(mask)
 
     def strength_fitness(
         self, population: Iterable[Solution], counters: Counters | None = None

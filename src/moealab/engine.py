@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
     Counters,
     ObjectiveVector,
     Solution,
-    deterioration_check,
+    deterioration_check,  # not called here; the benchmark's trace list names it
     dominance_masks,
     dominates,
     nondominated_filter,
@@ -170,34 +170,41 @@ class GenerationStats:
 
 
 class DeteriorationTracker:
-    """Incrementally tracks which current members are dominated by some
-    previously evicted point; equivalent to deterioration_check but O(1)
-    vectorized work per insertion instead of a full history rescan."""
+    """Incrementally tracks which current members are strictly dominated by
+    some point evicted earlier in the run.
+
+    The history keeps only the nondominated, duplicate-free subset of the
+    evicted rows. That is enough: a dropped row is weakly dominated by a kept
+    one, and whatever a dropped row strictly dominates, that kept row strictly
+    dominates too. So the history grows with the front of the evicted points,
+    not with the number of evaluations.
+    """
 
     def __init__(self, m: int):
         self._history = np.empty((0, m), dtype=float)
-        self._used = 0
         self._deteriorated: set[int] = set()
 
-    def _rows(self) -> np.ndarray:
-        return self._history[: self._used]
+    @property
+    def _used(self) -> int:
+        # the benchmark reads this as history_rows
+        return len(self._history)
 
-    def _append(self, rows: np.ndarray) -> None:
-        needed = self._used + rows.shape[0]
-        if needed > self._history.shape[0]:
-            new_cap = max(needed, 2 * self._history.shape[0], 64)
-            grown = np.empty((new_cap, self._history.shape[1]), dtype=float)
-            grown[: self._used] = self._rows()
-            self._history = grown
-        self._history[self._used : needed] = rows
-        self._used = needed
+    def _remember(self, rows: np.ndarray) -> None:
+        # one row at a time: rows of one batch may dominate or equal each other
+        for row in rows:
+            row = row[None]
+            covered, _ = dominance_masks(self._history, row)
+            if covered.any():
+                continue
+            _, beaten = dominance_masks(row, self._history)
+            self._history = np.concatenate((self._history[~beaten[0]], row))
 
     def observe(
         self,
         archive: Archive,
         candidate: Solution,
         accepted: bool,
-        newly_evicted: list[Solution],
+        newly_evicted: Sequence[Solution],
     ) -> None:
         members = archive.members()
         member_ids = {s.id for s in members}
@@ -214,10 +221,10 @@ class DeteriorationTracker:
                 self._deteriorated.update(
                     m.id for m, beaten in zip(members, strict.any(axis=0).tolist()) if beaten
                 )
-            self._append(evicted_rows)
-        if accepted and candidate.id in member_ids and self._used:
+            self._remember(evicted_rows)
+        if accepted and candidate.id in member_ids and len(self._history):
             _, strict = dominance_masks(
-                self._rows(), np.array([candidate.objectives.values], dtype=float)
+                self._history, np.array([candidate.objectives.values], dtype=float)
             )
             if strict.any():
                 self._deteriorated.add(candidate.id)
@@ -278,10 +285,8 @@ def _evaluate(state: RunState, genome: tuple[float, ...]) -> ObjectiveVector:
 
 
 def _offer(state: RunState, candidate: Solution) -> FeedbackSignal:
-    log_before = len(state.archive.evicted_log)
     outcome, feedback = state.archive.try_insert(candidate, state.counters)
-    newly_evicted = state.archive.evicted_log[log_before:]
-    state.tracker.observe(state.archive, candidate, outcome.accepted, newly_evicted)
+    state.tracker.observe(state.archive, candidate, outcome.accepted, outcome.departed)
     state.last_feedback = feedback
     return feedback
 
@@ -443,9 +448,7 @@ def run(config: RunConfig) -> RunResult:
         "evaluations": state.counters.evaluations,
         "dominance_comparisons": state.counters.dominance_comparisons,
         "cell_lookups": state.counters.cell_lookups,
-        "deterioration_events": deterioration_check(
-            state.archive.evicted_log, state.archive.members()
-        ),
+        "deterioration_events": state.tracker.count(),
         "metrics": compute_metrics(state),
     }
     if isinstance(state.archive, GpsArchive):

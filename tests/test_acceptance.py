@@ -104,9 +104,11 @@ def test_acceptance_3_deterioration_witness():
     ]
     archive = RnArchive(3)
     counters = Counters()
+    evicted = []
     for s in stream:
-        archive.try_insert(s, counters)
-    events = deterioration_check(archive.evicted_log, archive.members())
+        outcome, _ = archive.try_insert(s, counters)
+        evicted += outcome.departed
+    events = deterioration_check(evicted, archive.members())
     assert events >= 1, "adversarial stream produced no deterioration"
 
     gps = GpsArchive(RaySpec(ObjectiveVector((0.0, 0.0)), 16))

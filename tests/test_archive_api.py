@@ -123,15 +123,22 @@ def test_outcome_stream_contract_on_random_streams(kind, seed):
 
         prior_ids = set(shadow)
         assert set(outcome.evicted_ids) <= prior_ids
+        # departed holds what evicted_ids names, plus at most the candidate
+        # itself when it was admitted and truncated away in the same call
+        departed_ids = [d.id for d in outcome.departed]
+        assert set(departed_ids) <= prior_ids | {s.id}
+        assert len(departed_ids) == len(set(departed_ids))
         for evicted in outcome.evicted_ids:
             del shadow[evicted]
         if outcome.accepted:
             shadow[s.id] = s.objectives.values
         else:
             assert outcome.evicted_ids == ()
+            assert departed_ids in ([], [s.id])
 
         members = archive.members()
         assert {m.id for m in members} == set(shadow)
+        assert not {m.id for m in members} & set(departed_ids)
         assert feedback.archive_size == len(members)
         if kind in ("rn", "grid"):
             assert len(members) <= CAPACITY

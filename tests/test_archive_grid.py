@@ -162,12 +162,12 @@ class TestGridInsert:
     def test_dominated_candidate_rejected_with_zero_change(self):
         archive = GridArchive(5, unit_spec())
         counters = Counters()
-        archive.try_insert(sol(0, (0.2, 0.2)), counters)
+        first, _ = archive.try_insert(sol(0, (0.2, 0.2)), counters)
         before = members_values(archive)
         outcome, _ = archive.try_insert(sol(1, (0.6, 0.6)), counters)
         assert outcome.status is InsertStatus.REJECTED
         assert members_values(archive) == before
-        assert archive.evicted_log == []
+        assert [*first.departed, *outcome.departed] == []
 
     def test_out_of_bounds_candidate_triggers_adaptation_not_failure(self):
         archive = GridArchive(5, unit_spec())

@@ -51,7 +51,7 @@ class TestRnInsert:
         assert outcome.status is InsertStatus.ACCEPTED_REPLACING
         assert outcome.evicted_ids == (0,)
         assert {m.id for m in archive.members()} == {1, 2}
-        assert [m.objectives.values for m in archive.evicted_log] == [(2.0, 2.0)]
+        assert [m.objectives.values for m in outcome.departed] == [(2.0, 2.0)]
 
     def test_overflow_truncation_may_evict_the_candidate_itself(self):
         # candidate (1.9,2.1) merges with (2,2); the id tie-break keeps the
@@ -61,11 +61,15 @@ class TestRnInsert:
         counters = Counters()
         for s in [sol(0, (0.0, 4.0)), sol(1, (4.0, 0.0)), sol(2, (2.0, 2.0))]:
             archive.try_insert(s, counters)
-        outcome, _ = archive.try_insert(sol(3, (1.9, 2.1)), counters)
+        candidate = sol(3, (1.9, 2.1))
+        outcome, _ = archive.try_insert(candidate, counters)
         assert outcome.status is InsertStatus.REJECTED
         assert outcome.evicted_ids == ()
         assert set(members_values(archive)) == {(0.0, 4.0), (4.0, 0.0), (2.0, 2.0)}
-        assert archive.evicted_log[-1].objectives.values == (1.9, 2.1)
+        # the candidate was admitted and left again, so it is reported as
+        # departed even though the net outcome is a rejection
+        assert outcome.departed == (candidate,)
+        assert outcome.departed[-1].objectives.values == (1.9, 2.1)
 
     def test_comparisons_counted_per_member_scanned(self):
         archive = RnArchive(10)
@@ -229,8 +233,10 @@ class TestRnInvariants:
             sol(3, (5.4, 4.6)),   # truncated away on arrival
             sol(4, (7.0, 4.65)),  # dominated by the truncated point, retained
         ]
+        evicted = []
         for s in stream:
-            archive.try_insert(s, counters)
+            outcome, _ = archive.try_insert(s, counters)
+            evicted += outcome.departed
         assert (7.0, 4.65) in members_values(archive)
-        assert (5.4, 4.6) in [m.objectives.values for m in archive.evicted_log]
-        assert deterioration_check(archive.evicted_log, archive.members()) >= 1
+        assert (5.4, 4.6) in [m.objectives.values for m in evicted]
+        assert deterioration_check(evicted, archive.members()) >= 1

@@ -61,11 +61,11 @@ ARCHIVES = {
 }
 
 
-def state(archive):
+def state(archive, departed):
     extra = ()
     if isinstance(archive, GridArchive):
         extra = (archive.spec, archive.cell_occupancy())
-    return [m.id for m in archive.members()], [m.id for m in archive.evicted_log], extra
+    return [m.id for m in archive.members()], [m.id for m in departed], extra
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,6 +76,8 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
     archive, oracle = make(), make_oracle()
     counters, oracle_counters = Counters(), Counters()
     seen = {"equal_rejected": 0, "evicted_undominated": 0, "bounds_adapted": 0}
+    # every solution that left each store, collected from the outcomes
+    departed, oracle_departed = [], []
     for i, values in enumerate(STREAMS[stream](seed, 300)):
         candidate = sol(i, values)
         before = {m.id: m for m in archive.members()}
@@ -84,9 +86,12 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
         )
         spec = getattr(archive, "spec", None)
         got = archive.try_insert(candidate, counters)
-        assert got == oracle.try_insert(candidate, oracle_counters)
+        want = oracle.try_insert(candidate, oracle_counters)
+        assert got == want
+        departed += got[0].departed
+        oracle_departed += want[0].departed
         assert counters == oracle_counters
-        assert state(archive) == state(oracle)
+        assert state(archive, departed) == state(oracle, oracle_departed)
         assert archive._objectives.tolist() == [
             list(m.objectives.values) for m in archive.members()
         ]

@@ -15,14 +15,24 @@ from moealab import (
     step,
     update_population,
 )
-from moealab.archives import FeedbackSignal
+from moealab.archives import FeedbackSignal, RnArchive
 from moealab.engine import DeteriorationTracker
 from oracles import (
     oracle_deterioration_count,
+    oracle_front_indices,
     oracle_front_values,
     oracle_pairwise_nondominating,
     sol,
 )
+
+
+def assert_history_is_evicted_front(tracker, evicted):
+    # the tracker's rows, as a set and without repeats, are the nondominated
+    # subset of every point evicted so far
+    values = sorted({s.objectives.values for s in evicted})
+    rows = [tuple(row) for row in tracker._history.tolist()]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {values[i] for i in oracle_front_indices(values)}
 
 
 def small_config(**overrides):
@@ -271,9 +281,21 @@ class TestRun:
             if st.metrics:
                 assert "gd" in st.metrics
 
-    def test_tracker_matches_deterioration_oracle(self):
+    def test_tracker_matches_deterioration_oracle(self, monkeypatch):
+        # every solution that leaves an rn archive, collected from the
+        # outcomes of all insertions, the initial population's included
+        evicted = []
+        insert = RnArchive.try_insert
+
+        def recording_insert(archive, candidate, counters):
+            outcome, feedback = insert(archive, candidate, counters)
+            evicted.extend(outcome.departed)
+            return outcome, feedback
+
+        monkeypatch.setattr(RnArchive, "try_insert", recording_insert)
         # small rn archives force truncation and deterioration
         for seed in range(25):
+            evicted.clear()
             config = RunConfig(
                 problem="lattice:12:3",
                 archive=ArchiveConfig("rn", capacity=4),
@@ -284,15 +306,14 @@ class TestRun:
             state = initialize(config)
             while state.evaluations_done < config.max_evaluations:
                 stats = step(state, config)
-                expected = deterioration_check(
-                    state.archive.evicted_log, state.archive.members()
-                )
+                expected = deterioration_check(evicted, state.archive.members())
                 assert stats.deterioration_events == expected
                 # the tracker and deterioration_check share one kernel; the
                 # plain-loop oracle keeps the check independent of it
                 assert stats.deterioration_events == oracle_deterioration_count(
-                    state.archive.evicted_log, state.archive.members()
+                    evicted, state.archive.members()
                 )
+                assert_history_is_evicted_front(state.tracker, evicted)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tracker_matches_oracle_on_arbitrary_evictions(self, seed):
@@ -320,6 +341,7 @@ class TestRun:
             history += evicted
             tracker.observe(store, candidate, accepted, evicted)
             assert tracker.count() == oracle_deterioration_count(history, store.current)
+            assert_history_is_evicted_front(tracker, history)
 
     def test_summary_reports_gps_monotonicity(self):
         config = RunConfig(

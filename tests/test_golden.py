@@ -1,5 +1,6 @@
 """Run summaries pinned to values recorded from the scalar implementations
-of strength fitness, deterioration tracking, the archive sweeps and variation.
+of strength fitness, deterioration tracking, the archive sweeps and variation,
+and from the tracker that kept every evicted point.
 
 Acceptance 6 compares two runs of the same build, so it cannot see a change
 that alters every run alike. These values can: a faster kernel must reproduce
@@ -112,6 +113,35 @@ GOLDEN = [
         0,
         "1.2645132115269873",
     ),
+    # long eviction histories with more than one deterioration event, so the
+    # tracker's pruning of its history decides the count
+    (
+        RunConfig(
+            problem="zdt1",
+            archive=ArchiveConfig("grid", capacity=20),
+            population_size=20,
+            max_evaluations=3000,
+            seed=0,
+        ),
+        71614,
+        20,
+        2,
+        "0.14018101731992427",
+    ),
+    (
+        RunConfig(
+            problem="zdt1",
+            archive=ArchiveConfig("rn", capacity=10),
+            population_size=20,
+            preset=3,
+            max_evaluations=1500,
+            seed=2,
+        ),
+        311599,
+        10,
+        2,
+        "1.0043037815402518",
+    ),
 ]
 
 
@@ -128,6 +158,8 @@ GOLDEN = [
         "grid-sch-generational",
         "grid-zdt1-local-search",
         "rn-preset2-zdt1",
+        "grid-zdt1-cap20-deteriorating",
+        "rn-zdt1-cap10-deteriorating",
     ],
 )
 def test_summary_matches_pinned_values(config, comparisons, front_size, deteriorated, gd):
