@@ -8,11 +8,11 @@ Stable metric names used in stats output: "gd", "spacing", "coverage",
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .archives import Archive, GpsArchive, GridArchive, GridSpec, RaySpec, RnArchive
 from .core import Counters, ObjectiveVector, Solution
@@ -41,9 +41,14 @@ def generational_distance(
         raise ValueError("generational_distance needs non-empty front and reference")
     f = _as_matrix(front)
     r = _as_matrix(reference)
-    diff = f[:, None, :] - r[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
-    return float(dists.min(axis=1).mean())
+    # one front row at a time, so no (n, |reference|) array is built; sqrt is
+    # monotone and correctly rounded, so the root of the smallest squared
+    # distance is the smallest distance
+    nearest = np.empty(len(f))
+    for i, row in enumerate(f):
+        diff = r - row
+        nearest[i] = math.sqrt((diff * diff).sum(axis=1).min())
+    return float(nearest.mean())
 
 
 def spacing(front: Sequence[ObjectiveVector]) -> float:
@@ -52,8 +57,14 @@ def spacing(front: Sequence[ObjectiveVector]) -> float:
     if len(front) < 2:
         raise ValueError(f"spacing needs at least 2 points, got {len(front)}")
     f = _as_matrix(front)
-    diff = f[:, None, :] - f[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
+    # summed one objective column at a time, left to right: the order numpy's
+    # sum takes over a last axis shorter than 8, so below 8 objectives the
+    # distances equal an (n, n, M) broadcast's bit for bit
+    squared = np.zeros((len(f), len(f)))
+    for column in f.T:
+        diff = column[:, None] - column[None, :]
+        squared += diff * diff
+    dists = np.sqrt(squared)
     np.fill_diagonal(dists, np.inf)
     nearest = dists.min(axis=1)
     return float(nearest.std())
@@ -107,11 +118,76 @@ def _sweep_archive(kind: str, size: int) -> Archive:
     raise ValueError(f"unknown archiver kind {kind!r}")
 
 
-def _incomparable_stream(rng: np.random.Generator, count: int) -> list[ObjectiveVector]:
+def _incomparable_stream(rng: np.random.Generator, count: int) -> Iterator[ObjectiveVector]:
     # points on the anti-correlated line f1 + f2 = 1: pairwise incomparable,
     # so dominance scans cannot terminate early
-    ts = rng.random(count)
-    return [ObjectiveVector((float(t), float(1.0 - t))) for t in ts]
+    for t in rng.random(count):
+        yield ObjectiveVector((t, 1.0 - t))
+
+
+def _t_central(theta: float, df: int) -> float:
+    """P(|T| <= sqrt(df) * tan(theta)) for Student's t with integer df >= 3,
+    by the finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df)."""
+    c = math.cos(theta)
+    c2 = c * c
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= c2 * (2 * k - 1) / (2 * k)
+            total += term
+        return math.sin(theta) * total
+    term = total = c
+    for k in range(1, (df - 1) // 2):
+        term *= c2 * (2 * k) / (2 * k + 1)
+        total += term
+    return 2 / math.pi * (theta + math.sin(theta) * total)
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The p quantile, 0.5 < p < 1, of Student's t with integer df >= 1.
+
+    df 1 and 2 are closed forms, equal to scipy.stats.t.ppf bit for bit at
+    p = 0.975. Larger df bisect theta = arctan(t / sqrt(df)) on the series
+    of _t_central until the bracket is two adjacent floats; the result is
+    then within 1e-14 of t.ppf, relatively, for df 3 to 200.
+    """
+    if df == 1:
+        return 1 / math.tan(math.pi * (1 - p))
+    if df == 2:
+        return (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+    target = 2 * p - 1
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return math.sqrt(df) * math.tan(mid)
+        if _t_central(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """Least-squares slope of y on x and its two-sided 95% confidence interval.
+
+    The arithmetic is scipy.stats.linregress's (1.17), step for step, so the
+    slope and its standard error equal it bit for bit. With two points the
+    interval is infinite; with a constant y it is NaN.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = float(ssxym / ssxm)
+    df = len(x) - 2
+    if df > 0:
+        stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+        half_width = float(_t_quantile(0.975, df) * stderr)
+    else:
+        half_width = math.inf
+    return slope, (slope - half_width, slope + half_width)
 
 
 def complexity_sweep(
@@ -129,6 +205,8 @@ def complexity_sweep(
     ordered = sorted(int(s) for s in sizes)
     if ordered[0] < 1:
         raise ValueError("sizes must be positive")
+    if ordered[0] == ordered[-1]:
+        raise ValueError("need at least 2 distinct sizes")
     entries = []
     for size in ordered:
         rng = np.random.default_rng(seed)
@@ -146,13 +224,7 @@ def complexity_sweep(
         entries.append((size, mean))
     logs_n = np.log([n for n, _ in entries])
     logs_c = np.log([max(c, 1e-12) for _, c in entries])
-    fit = scipy_stats.linregress(logs_n, logs_c)
-    half_width = float(
-        scipy_stats.t.ppf(0.975, len(entries) - 2) * fit.stderr
-    ) if len(entries) > 2 else float("inf")
+    slope, slope_ci = _slope_fit(logs_n, logs_c)
     return ComplexityReport(
-        archiver=kind,
-        entries=tuple(entries),
-        slope=float(fit.slope),
-        slope_ci=(float(fit.slope) - half_width, float(fit.slope) + half_width),
+        archiver=kind, entries=tuple(entries), slope=slope, slope_ci=slope_ci
     )

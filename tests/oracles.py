@@ -177,6 +177,40 @@ def oracle_spacing(front: list[tuple[float, ...]]) -> float:
     return math.sqrt(sum((d - mean) ** 2 for d in nearest) / len(nearest))
 
 
+def gd_broadcast_oracle(
+    front: list[tuple[float, ...]], reference: list[tuple[float, ...]]
+) -> float:
+    """Generational distance by one (n, |reference|, M) broadcast: every
+    distance is taken, then the smallest per front point."""
+    f = np.asarray(front, dtype=float)
+    r = np.asarray(reference, dtype=float)
+    diff = f[:, None, :] - r[None, :, :]
+    dists = np.sqrt((diff * diff).sum(axis=2))
+    return float(dists.min(axis=1).mean())
+
+
+def spacing_broadcast_oracle(front: list[tuple[float, ...]]) -> float:
+    """Spacing by one (n, n, M) broadcast summed over the last axis."""
+    f = np.asarray(front, dtype=float)
+    diff = f[:, None, :] - f[None, :, :]
+    dists = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    return float(dists.min(axis=1).std())
+
+
+def linregress_ci_oracle(x, y) -> tuple[float, tuple[float, float]]:
+    """complexity_sweep's slope and 95% interval computed with scipy: the
+    slope and its standard error from stats.linregress, the half-width from
+    stats.t.ppf(0.975, n - 2), infinite with two points. Needs scipy."""
+    from scipy import stats
+
+    fit = stats.linregress(x, y)
+    half_width = (
+        float(stats.t.ppf(0.975, len(x) - 2) * fit.stderr) if len(x) > 2 else float("inf")
+    )
+    return float(fit.slope), (float(fit.slope) - half_width, float(fit.slope) + half_width)
+
+
 def sol(sid: int, values: tuple[float, ...], genome: tuple[float, ...] = (0.0,)) -> Solution:
     return Solution(sid, genome, ObjectiveVector(values))
 
