@@ -68,46 +68,48 @@ class RnArchive(NondominatedStore):
         n = len(self._members)
         if n <= target:
             return []
-        objs = self._objectives
-        diff = objs[:, None, :] - objs[None, :, :]
-        point_dist = np.sqrt((diff * diff).sum(axis=2))
+        # summed one objective column at a time, as metrics.spacing does: below
+        # 8 objectives this equals an (n, n, M) broadcast's sum bit for bit
+        squared = np.zeros((n, n))
+        for column in self._objectives.T:
+            diff = column[:, None] - column[None, :]
+            squared += diff * diff
+        point_dist = np.sqrt(squared)
 
+        # dist[a, b] is the linkage of clusters a and b, ids[a] the smallest
+        # member id of cluster a; the strict upper triangle of an (n, n) mask
+        # is that of every smaller matrix too
         clusters: list[list[int]] = [[i] for i in range(n)]
-        idkeys: list[int] = [self._members[i].id for i in range(n)]
-        dist: list[list[float]] = [list(map(float, row)) for row in point_dist]
-
-        while len(clusters) > target:
-            best_key = None
-            best_pair = (0, 1)
-            for i in range(len(clusters)):
-                row = dist[i]
-                for j in range(i + 1, len(clusters)):
-                    lo, hi = (
-                        (idkeys[i], idkeys[j])
-                        if idkeys[i] < idkeys[j]
-                        else (idkeys[j], idkeys[i])
-                    )
-                    key = (row[j], lo, hi)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_pair = (i, j)
-            i, j = best_pair
+        ids = np.array([m.id for m in self._members])
+        dist = point_dist
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        while True:
+            size = len(clusters)
+            pairs = np.where(upper[:size, :size], dist, np.inf)
+            rows, cols = np.nonzero(pairs == pairs.min())
+            pick = 0
+            if len(rows) > 1:
+                # equal distances: the pair with the smallest (lower id, higher
+                # id) merges, and nonzero's row-major order with a stable sort
+                # keeps the first such pair of a scan
+                a, b = ids[rows], ids[cols]
+                pick = int(np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0])
+            i, j = int(rows[pick]), int(cols[pick])
             ni, nj = len(clusters[i]), len(clusters[j])
-            # Lance-Williams update keeps dist[] equal to the mean pairwise
-            # inter-cluster distance (average linkage).
-            merged_row = [
-                (ni * dist[i][k] + nj * dist[j][k]) / (ni + nj)
-                for k in range(len(clusters))
-            ]
             clusters[i] = clusters[i] + clusters[j]
-            idkeys[i] = min(idkeys[i], idkeys[j])
-            for k in range(len(clusters)):
-                dist[i][k] = merged_row[k]
-                dist[k][i] = merged_row[k]
-            dist[i][i] = 0.0
-            del clusters[j], idkeys[j], dist[j]
-            for row in dist:
-                del row[j]
+            del clusters[j]
+            if len(clusters) == target:
+                break
+            # Lance-Williams update keeps dist equal to the mean pairwise
+            # inter-cluster distance (average linkage)
+            rest = np.arange(size) != j
+            merged = ((ni * dist[i] + nj * dist[j]) / (ni + nj))[rest]
+            ids[i] = min(ids[i], ids[j])
+            dist = dist[np.ix_(rest, rest)]
+            ids = ids[rest]
+            dist[i] = merged
+            dist[:, i] = merged
+            dist[i, i] = 0.0
 
         keep: set[int] = set()
         for cluster in clusters:

@@ -108,6 +108,83 @@ class ScalarSweepGrid(GridArchive):
         return scalar_sweep(self._members, candidate, counters)
 
 
+def cluster_truncate_oracle(
+    members: list[Solution], target: int
+) -> tuple[list[int], list[int]]:
+    """Average-linkage truncation of `members` to `target` clusters by a scan
+    of every cluster pair keyed (distance, lower id, higher id) over an n x n
+    list of lists, with a Lance-Williams update after each merge. Returns the
+    ids that leave and the ids that stay, each in member order."""
+    n = len(members)
+    if n <= target:
+        return [], [m.id for m in members]
+    objs = np.array([m.objectives.values for m in members], dtype=float)
+    diff = objs[:, None, :] - objs[None, :, :]
+    point_dist = np.sqrt((diff * diff).sum(axis=2))
+
+    clusters: list[list[int]] = [[i] for i in range(n)]
+    idkeys: list[int] = [members[i].id for i in range(n)]
+    dist: list[list[float]] = [list(map(float, row)) for row in point_dist]
+
+    while len(clusters) > target:
+        best_key = None
+        best_pair = (0, 1)
+        for i in range(len(clusters)):
+            row = dist[i]
+            for j in range(i + 1, len(clusters)):
+                lo, hi = (
+                    (idkeys[i], idkeys[j])
+                    if idkeys[i] < idkeys[j]
+                    else (idkeys[j], idkeys[i])
+                )
+                key = (row[j], lo, hi)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_pair = (i, j)
+        i, j = best_pair
+        ni, nj = len(clusters[i]), len(clusters[j])
+        merged_row = [
+            (ni * dist[i][k] + nj * dist[j][k]) / (ni + nj)
+            for k in range(len(clusters))
+        ]
+        clusters[i] = clusters[i] + clusters[j]
+        idkeys[i] = min(idkeys[i], idkeys[j])
+        for k in range(len(clusters)):
+            dist[i][k] = merged_row[k]
+            dist[k][i] = merged_row[k]
+        dist[i][i] = 0.0
+        del clusters[j], idkeys[j], dist[j]
+        for row in dist:
+            del row[j]
+
+    keep: set[int] = set()
+    for cluster in clusters:
+        if len(cluster) == 1:
+            keep.add(cluster[0])
+            continue
+        best = None
+        for i in cluster:
+            mean = sum(point_dist[i][j] for j in cluster if j != i) / (
+                len(cluster) - 1
+            )
+            key = (mean, members[i].id)
+            if best is None or key < best[0]:
+                best = (key, i)
+        keep.add(best[1])
+    departed = [m.id for i, m in enumerate(members) if i not in keep]
+    kept = [m.id for i, m in enumerate(members) if i in keep]
+    return departed, kept
+
+
+class OracleTruncateRn(RnArchive):
+    """RnArchive truncating with cluster_truncate_oracle."""
+
+    def cluster_truncate(self, target):
+        _, kept = cluster_truncate_oracle(self._members, target)
+        stay = set(kept)
+        return self._retain(np.array([m.id in stay for m in self._members], dtype=bool))
+
+
 def oracle_deterioration_count(
     history: list[Solution], current: list[Solution]
 ) -> int:

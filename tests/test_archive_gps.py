@@ -169,6 +169,38 @@ class TestGpsInvariants:
             best[ray] = d
         assert archive.monotonicity_violations == 0
 
+    def test_tripwire_stays_zero_on_ties_and_farther_points(self):
+        # every point comes back unchanged (a tie on its own ray) and scaled
+        # away from the reference (farther on its own ray): neither may
+        # replace, and the recorded distance only ever falls
+        rng = np.random.default_rng(4)
+        spec = spec_k(6)
+        archive = GpsArchive(spec)
+        counters = Counters()
+        points = [tuple(float(x) for x in rng.random(2) + 0.01) for _ in range(150)]
+        stream = []
+        for values in points:
+            stream += [values, values, tuple(2.0 * x for x in values)]
+        replaced = 0
+        for i, values in enumerate(stream):
+            outcome, _ = archive.try_insert(sol(i, values), counters)
+            replaced += outcome.status is InsertStatus.ACCEPTED_REPLACING
+        assert replaced > 0
+        assert archive.monotonicity_violations == 0
+
+    def test_tripwire_counts_a_replacement_above_the_recorded_distance(self):
+        archive = GpsArchive(spec_k())
+        counters = Counters()
+        archive.try_insert(sol(0, (1.0, 1.0)), counters)
+        ray = ray_of(ObjectiveVector((1.0, 1.0)), archive.spec)
+        # as if the incumbent had been admitted closer than it lies now
+        archive._admitted[ray] = 0.1
+        outcome, _ = archive.try_insert(sol(1, (0.5, 0.5)), counters)
+        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
+        assert archive.monotonicity_violations == 1
+        archive.try_insert(sol(2, (0.25, 0.25)), counters)
+        assert archive.monotonicity_violations == 1
+
     def test_replacements_always_beat_the_evicted_on_distance(self):
         rng = np.random.default_rng(9)
         spec = spec_k(10)

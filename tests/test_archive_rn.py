@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moealab import (
     Counters,
@@ -8,6 +10,7 @@ from moealab import (
     deterioration_check,
 )
 from oracles import (
+    cluster_truncate_oracle,
     members_values,
     oracle_pairwise_nondominating,
     random_solutions,
@@ -125,6 +128,79 @@ class TestClusterTruncate:
         # mean distance to its mates
         assert {m.id for m in evicted} == {0, 2}
         assert set(members_values(archive)) == {(0.2, 9.9), (10.0, 0.0)}
+
+
+@st.composite
+def simplex_points(draw, m):
+    # positive rows scaled to sum 1: mutually nondominated up to rounding (the
+    # archive drops any row that rounding left dominated)
+    n = draw(st.integers(2, 14))
+    rows = draw(
+        st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return [tuple(x / sum(row) for x in row) for row in rows]
+
+
+@st.composite
+def lattice_points(draw, m):
+    # distinct integer points with coordinates summing to a fixed total: on an
+    # anti-diagonal, so mutually nondominated, with many exactly equal distances
+    total = draw(st.integers(2, 6))
+    grid = [
+        p
+        for p in np.ndindex(*([total + 1] * (m - 1)))
+        if sum(p) <= total
+    ]
+    picked = draw(
+        st.lists(st.sampled_from(grid), min_size=2, max_size=14, unique=True)
+    )
+    return [tuple(float(x) for x in (*p, total - sum(p))) for p in picked]
+
+
+def check_truncate_against_oracle(points, data):
+    # ids permuted against member order, so id tie-breaks differ from a
+    # row-major scan
+    ids = data.draw(st.permutations(range(len(points))))
+    solutions = [sol(i, values) for i, values in zip(ids, points)]
+
+    def filled():
+        archive = RnArchive(len(solutions))
+        for s in solutions:
+            archive.try_insert(s, Counters())
+        return archive
+
+    members = filled().members()
+    by_id = {m.id: m for m in members}
+    for target in range(1, len(members)):
+        archive = filled()
+        departed = archive.cluster_truncate(target)
+        want_departed, want_kept = cluster_truncate_oracle(members, target)
+        assert [m.id for m in departed] == want_departed
+        assert [m.id for m in archive.members()] == want_kept
+        assert archive._objectives.tolist() == [
+            list(by_id[i].objectives.values) for i in want_kept
+        ]
+
+
+class TestClusterTruncateMatchesOracle:
+    """The numpy merge loop against the pair scan it replaced, for every
+    target from 1 to n - 1."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_nondominated_sets(self, m, data):
+        check_truncate_against_oracle(data.draw(simplex_points(m)), data)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_integer_lattices_with_tied_distances(self, m, data):
+        check_truncate_against_oracle(data.draw(lattice_points(m)), data)
 
 
 class TestStrengthFitness:

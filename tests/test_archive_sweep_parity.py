@@ -4,6 +4,8 @@ scalar compare() sweep, they must agree on every outcome, eviction, member
 order and counter, and the array must hold the members' objectives row for
 row after every insertion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from moealab import (
     InsertStatus,
     ObjectiveVector,
     RnArchive,
+    Solution,
     dominates,
 )
-from oracles import ScalarSweepGrid, ScalarSweepRn, sol
+from moealab.metrics import _MEASURED_MULTIPLE, _incomparable_stream
+from oracles import OracleTruncateRn, ScalarSweepGrid, ScalarSweepRn, sol
 
 UNIT_SPEC = GridSpec(ObjectiveVector((0.0, 0.0)), ObjectiveVector((1.0, 1.0)), 4)
 
@@ -109,3 +113,25 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
         assert seen["equal_rejected"] > 0
     if kind == "grid" and stream == "escaping":
         assert seen["bounds_adapted"] > 0
+
+
+@pytest.mark.parametrize("size", [4, 5, 9, 16, 25, 40])
+def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
+    # complexity_sweep's stream and schedule: every insertion past the first
+    # `size` overflows the archive and truncates
+    archive, oracle = RnArchive(size), OracleTruncateRn(size)
+    counters, oracle_counters = Counters(), Counters()
+    rng = np.random.default_rng(size)
+    ids = itertools.count()
+    truncated = 0
+    for vec in _incomparable_stream(rng, (1 + _MEASURED_MULTIPLE) * size):
+        candidate = Solution(next(ids), (0.0,), vec)
+        got = archive.try_insert(candidate, counters)
+        want = oracle.try_insert(candidate, oracle_counters)
+        assert got == want
+        assert [m.id for m in got[0].departed] == [m.id for m in want[0].departed]
+        assert [m.id for m in archive.members()] == [m.id for m in oracle.members()]
+        assert archive._objectives.tolist() == oracle._objectives.tolist()
+        truncated += len(archive.members()) == size and bool(got[0].departed)
+    assert counters == oracle_counters
+    assert truncated >= _MEASURED_MULTIPLE * size
