@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Counters, Solution, dominance_masks, nondominated_filter
+from ..core import Counters, Solution, nondominated_filter, weak_relations
 
 
 class InsertStatus(Enum):
@@ -92,6 +92,16 @@ class Archive(ABC):
     def members(self) -> list[Solution]:
         """Snapshot of current members; callers own the returned list."""
 
+    def member_objectives(self) -> np.ndarray:
+        """The members' objectives as an (n, M) array, row i for members()[i].
+
+        Read-only: a store may hand out the array it keeps. Without members
+        the array is empty and its column count is unspecified.
+        """
+        objectives = np.array([s.objectives.values for s in self.members()], dtype=float)
+        objectives.flags.writeable = False
+        return objectives
+
     def finalize(self) -> list[Solution]:
         """Pareto filter of the members, applied after the run terminates.
 
@@ -116,6 +126,11 @@ class NondominatedStore(Archive):
     def members(self) -> list[Solution]:
         return list(self._members)
 
+    def member_objectives(self) -> np.ndarray:
+        view = self._objectives.view()
+        view.flags.writeable = False
+        return view
+
     def _sweep(self, candidate: Solution, counters: Counters) -> np.ndarray | None:
         """Test the candidate against every member: None when some member
         weakly dominates it (rejection), else the mask of members it dominates.
@@ -126,15 +141,15 @@ class NondominatedStore(Archive):
         n = len(self._members)
         if not n:
             return np.zeros(0, dtype=bool)
-        row = np.array([candidate.objectives.values], dtype=float)
-        covers, _ = dominance_masks(self._objectives, row)
+        covers, beaten = weak_relations(self._objectives, candidate.objectives.values)
         first = int(covers.argmax())
-        if covers[first, 0]:
+        if covers[first]:
             counters.dominance_comparisons += first + 1
             return None
         counters.dominance_comparisons += n
-        _, beaten = dominance_masks(row, self._objectives)
-        return beaten[0]
+        # no member weakly dominates the candidate, so every member it weakly
+        # dominates it dominates
+        return beaten
 
     def _append(self, member: Solution) -> None:
         row = np.array([member.objectives.values], dtype=float)

@@ -176,13 +176,14 @@ class GridArchive(NondominatedStore):
             del self._occupancy[cell]
 
     def _most_occupied(self) -> tuple[CellIndex, int]:
-        best_cell = None
-        best = -1
-        for cell in sorted(self._occupancy, key=lambda c: c.coords):
-            n = len(self._occupancy[cell])
-            if n > best:
-                best_cell, best = cell, n
-        return best_cell, best
+        """The most occupied cell, ties to the smallest coordinates, and its
+        member count."""
+        crowd = max(map(len, self._occupancy.values()))
+        crowded = min(
+            (cell for cell, ids in self._occupancy.items() if len(ids) == crowd),
+            key=lambda c: c.coords,
+        )
+        return crowded, crowd
 
     def _occupancy_near(self, v: ObjectiveVector) -> float:
         if not self.spec.contains(v):

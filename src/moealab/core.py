@@ -199,6 +199,33 @@ def dominance_masks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return weak, better
 
 
+def weak_relations(
+    rows: np.ndarray, v: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weak Pareto relations between every row of `rows` (n x M) and the one
+    point `v`, as two length-n boolean masks.
+
+    below[i] means rows[i] <= v in every component, above[i] means v <= rows[i]
+    in every component. Both hold for an equal row; below & ~above means rows[i]
+    dominates v, above & ~below that v dominates rows[i]. `v` is a tuple of M
+    floats, not an array: one pass over the M columns with two comparisons each
+    costs less than building a (1, M) array, which dominates the cost at the
+    sizes an insertion sees.
+    """
+    if rows.shape[1] != len(v):
+        raise DimensionMismatchError(
+            f"dimension mismatch: {rows.shape[1]} vs {len(v)}"
+        )
+    columns = zip(rows.T, v)
+    column, x = next(columns)
+    below = column <= x
+    above = column >= x
+    for column, x in columns:
+        below &= column <= x
+        above &= column >= x
+    return below, above
+
+
 def deterioration_check(
     history: Sequence[Solution], current: Iterable[Solution]
 ) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .core import (
     ObjectiveVector,
     Solution,
     deterioration_check,  # not called here; the benchmark's trace list names it
-    dominance_masks,
     dominates,
     nondominated_filter,
+    weak_relations,
 )
 from .generator import (
     LocalSearchConfig,
@@ -189,15 +189,15 @@ class DeteriorationTracker:
         # the benchmark reads this as history_rows
         return len(self._history)
 
-    def _remember(self, rows: np.ndarray) -> None:
+    def _remember(self, rows: Iterable[tuple[float, ...]]) -> None:
         # one row at a time: rows of one batch may dominate or equal each other
-        for row in rows:
-            row = row[None]
-            covered, _ = dominance_masks(self._history, row)
+        for values in rows:
+            covered, beaten = weak_relations(self._history, values)
             if covered.any():
                 continue
-            _, beaten = dominance_masks(row, self._history)
-            self._history = np.concatenate((self._history[~beaten[0]], row))
+            # nothing kept weakly dominates the row, so every kept row it
+            # weakly dominates it dominates
+            self._history = np.concatenate((self._history[~beaten], [values]))
 
     def observe(
         self,
@@ -206,27 +206,27 @@ class DeteriorationTracker:
         accepted: bool,
         newly_evicted: Sequence[Solution],
     ) -> None:
-        members = archive.members()
-        member_ids = {s.id for s in members}
-        self._deteriorated &= member_ids
+        """Take in one insertion: `newly_evicted` is its outcome's departed,
+        the only way a member leaves, and an accepted candidate is a member."""
         if newly_evicted:
-            evicted_rows = np.asarray(
-                [s.objectives.values for s in newly_evicted], dtype=float
-            )
-            if members:
-                _, strict = dominance_masks(
-                    evicted_rows,
-                    np.array([s.objectives.values for s in members], dtype=float),
-                )
-                self._deteriorated.update(
-                    m.id for m, beaten in zip(members, strict.any(axis=0).tolist()) if beaten
-                )
-            self._remember(evicted_rows)
-        if accepted and candidate.id in member_ids and len(self._history):
-            _, strict = dominance_masks(
-                self._history, np.array([candidate.objectives.values], dtype=float)
-            )
-            if strict.any():
+            self._deteriorated.difference_update(s.id for s in newly_evicted)
+            rows = [s.objectives.values for s in newly_evicted]
+            objectives = archive.member_objectives()
+            if len(objectives):
+                beaten = np.zeros(len(objectives), dtype=bool)
+                for values in rows:
+                    below, above = weak_relations(objectives, values)
+                    beaten |= above & ~below
+                if beaten.any():
+                    self._deteriorated.update(
+                        m.id
+                        for m, hit in zip(archive.members(), beaten.tolist())
+                        if hit
+                    )
+            self._remember(rows)
+        if accepted and len(self._history):
+            below, above = weak_relations(self._history, candidate.objectives.values)
+            if (below & ~above).any():
                 self._deteriorated.add(candidate.id)
 
     def count(self) -> int:
@@ -243,7 +243,6 @@ class RunState:
     rng: np.random.Generator
     ids: Iterator[int]
     tracker: DeteriorationTracker
-    last_feedback: FeedbackSignal | None = None
     front_reference: list[ObjectiveVector] | None = None
 
     @property
@@ -287,7 +286,6 @@ def _evaluate(state: RunState, genome: tuple[float, ...]) -> ObjectiveVector:
 def _offer(state: RunState, candidate: Solution) -> FeedbackSignal:
     outcome, feedback = state.archive.try_insert(candidate, state.counters)
     state.tracker.observe(state.archive, candidate, outcome.accepted, outcome.departed)
-    state.last_feedback = feedback
     return feedback
 
 
@@ -385,7 +383,6 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
             state.rng,
             parent_prob,
             fitness_by_id=fitness,
-            feedback=state.last_feedback,
         )
         child = generate(
             parents, config.variation, state.problem.bounds, state.rng, state.ids

@@ -57,15 +57,13 @@ def select_parents(
     rng: np.random.Generator,
     archive_parent_prob: float,
     fitness_by_id: dict[int, float] | None = None,
-    feedback=None,
 ) -> tuple[Solution, Solution]:
     """Draw two parents, each independently from the archive with probability
     archive_parent_prob (uniformly), otherwise from the population.
 
     Population draws use a binary tournament on fitness_by_id (lower wins,
     ties to the lower id) when a fitness map is supplied, uniform choice
-    otherwise. The feedback argument is a hook for feedback-aware selection
-    strategies; the default selection does not condition on it.
+    otherwise.
     """
     if not population:
         raise ValueError("population must be non-empty")

@@ -20,6 +20,7 @@ from moealab import (
     Solution,
     VariationConfig,
     compare,
+    dominance_masks,
 )
 from moealab.generator import _polynomial_mutation
 
@@ -202,6 +203,53 @@ def oracle_deterioration_count(
         if beaten:
             count += 1
     return count
+
+
+class TrackerOracle:
+    """The deterioration tracker as a (k, n) broadcast per call: it copies the
+    members, drops deteriorated ids that are no longer members, tests every
+    evicted row against every member at once, and keeps its history with two
+    dominance_masks calls per evicted row."""
+
+    def __init__(self, m: int):
+        self._history = np.empty((0, m), dtype=float)
+        self._deteriorated: set[int] = set()
+
+    def _remember(self, rows: np.ndarray) -> None:
+        for row in rows:
+            row = row[None]
+            covered, _ = dominance_masks(self._history, row)
+            if covered.any():
+                continue
+            _, beaten = dominance_masks(row, self._history)
+            self._history = np.concatenate((self._history[~beaten[0]], row))
+
+    def observe(self, archive, candidate, accepted, newly_evicted) -> None:
+        members = archive.members()
+        member_ids = {s.id for s in members}
+        self._deteriorated &= member_ids
+        if newly_evicted:
+            evicted_rows = np.asarray(
+                [s.objectives.values for s in newly_evicted], dtype=float
+            )
+            if members:
+                _, strict = dominance_masks(
+                    evicted_rows,
+                    np.array([s.objectives.values for s in members], dtype=float),
+                )
+                self._deteriorated.update(
+                    m.id for m, beaten in zip(members, strict.any(axis=0).tolist()) if beaten
+                )
+            self._remember(evicted_rows)
+        if accepted and candidate.id in member_ids and len(self._history):
+            _, strict = dominance_masks(
+                self._history, np.array([candidate.objectives.values], dtype=float)
+            )
+            if strict.any():
+                self._deteriorated.add(candidate.id)
+
+    def count(self) -> int:
+        return len(self._deteriorated)
 
 
 def generate_oracle(

@@ -55,6 +55,19 @@ def test_members_returns_a_snapshot(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_member_objectives_follow_members_and_are_read_only(kind):
+    archive = make_archive(kind)
+    assert len(archive.member_objectives()) == 0
+    counters = Counters()
+    for s in tradeoff_solutions(np.random.default_rng(7), 80):
+        archive.try_insert(s, counters)
+        objectives = archive.member_objectives()
+        assert objectives.tolist() == [list(m.objectives.values) for m in archive.members()]
+        with pytest.raises(ValueError):
+            objectives[0, 0] = -1.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fresh_archive_is_empty_and_finalizes_empty(kind):
     archive = make_archive(kind)
     assert archive.members() == []

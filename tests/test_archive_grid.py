@@ -178,6 +178,36 @@ class TestGridInsert:
         assert archive.spec.contains(ObjectiveVector((1.4, 0.3)))
 
 
+def most_occupied_by_sorted_scan(occupancy):
+    # every occupied cell in coordinate order; a strictly larger count wins,
+    # so ties go to the smallest coordinates
+    best_cell, best = None, -1
+    for cell in sorted(occupancy, key=lambda c: c.coords):
+        if len(occupancy[cell]) > best:
+            best_cell, best = cell, len(occupancy[cell])
+    return best_cell, best
+
+
+class TestMostOccupied:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_sorted_scan_with_tied_counts(self, m, seed):
+        rng = np.random.default_rng(seed)
+        archive = GridArchive(100, unit_spec())
+        tied = 0
+        for _ in range(20):
+            coords = {tuple(int(c) for c in rng.integers(0, 4, size=m)) for _ in range(12)}
+            # counts of 1-3 over up to 12 cells: the largest count is often shared
+            archive._occupancy = {
+                CellIndex(c): list(range(int(rng.integers(1, 4)))) for c in coords
+            }
+            expected = most_occupied_by_sorted_scan(archive._occupancy)
+            assert archive._most_occupied() == expected
+            counts = [len(ids) for ids in archive._occupancy.values()]
+            tied += counts.count(expected[1]) > 1
+        assert tied > 10
+
+
 class TestGridInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nondominated_occupancy_capacity_after_every_insert(self, seed):

@@ -13,6 +13,7 @@ from moealab import (
     deterioration_check,
     dominance_masks,
     nondominated_filter,
+    weak_relations,
 )
 from oracles import oracle_front_values, oracle_pairwise_nondominating, sol
 
@@ -185,6 +186,45 @@ class TestDominanceMasks:
             dominance_masks(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(DimensionMismatchError):
             dominance_masks(np.zeros((0, 2)), np.zeros((1, 5)))
+
+
+class TestWeakRelations:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_compare(self, m, data):
+        rows = data.draw(lattice_rows(m))
+        point = data.draw(st.tuples(*[st.integers(0, 3)] * m))
+        v = tuple(float(x) for x in point)
+        below, above = weak_relations(
+            np.array(rows, dtype=float).reshape(len(rows), m), v
+        )
+        assert below.shape == above.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            rel = compare(vec(*row), vec(*v))
+            assert below[i] == (
+                rel is DominanceRelation.DOMINATES or rel is DominanceRelation.EQUAL
+            )
+            assert above[i] == (
+                rel is DominanceRelation.DOMINATED_BY or rel is DominanceRelation.EQUAL
+            )
+            # the two masks tell all four relations apart
+            assert (below[i] and not above[i]) == (rel is DominanceRelation.DOMINATES)
+            assert (above[i] and not below[i]) == (rel is DominanceRelation.DOMINATED_BY)
+            assert (below[i] and above[i]) == (rel is DominanceRelation.EQUAL)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_empty_rows(self, m):
+        below, above = weak_relations(np.empty((0, m)), (1.0,) * m)
+        assert below.shape == above.shape == (0,)
+
+    def test_mismatched_dimension_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            weak_relations(np.zeros((2, 3)), (0.0, 0.0))
+        with pytest.raises(DimensionMismatchError):
+            weak_relations(np.zeros((2, 2)), (0.0, 0.0, 0.0))
+        with pytest.raises(DimensionMismatchError):
+            weak_relations(np.empty((0, 2)), (0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 class TestDeteriorationCheck:

@@ -15,9 +15,11 @@ from moealab import (
     step,
     update_population,
 )
+from moealab import engine
 from moealab.archives import FeedbackSignal, RnArchive
 from moealab.engine import DeteriorationTracker
 from oracles import (
+    TrackerOracle,
     oracle_deterioration_count,
     oracle_front_indices,
     oracle_front_values,
@@ -33,6 +35,44 @@ def assert_history_is_evicted_front(tracker, evicted):
     rows = [tuple(row) for row in tracker._history.tolist()]
     assert len(rows) == len(set(rows))
     assert set(rows) == {values[i] for i in oracle_front_indices(values)}
+
+
+def history_rows(tracker):
+    return {tuple(row) for row in tracker._history.tolist()}
+
+
+class StubStore:
+    """An archive whose members are whatever the test puts in `current`."""
+
+    def __init__(self):
+        self.current = []
+
+    def members(self):
+        return list(self.current)
+
+    def member_objectives(self):
+        return np.array([s.objectives.values for s in self.current], dtype=float)
+
+
+class PairedTracker:
+    """DeteriorationTracker and TrackerOracle fed the same calls; after every
+    observe their counts, deteriorated ids and history rows must agree."""
+
+    def __init__(self, m):
+        self.tracker = DeteriorationTracker(m)
+        self.oracle = TrackerOracle(m)
+        self.peak = 0
+
+    def observe(self, archive, candidate, accepted, newly_evicted):
+        self.tracker.observe(archive, candidate, accepted, newly_evicted)
+        self.oracle.observe(archive, candidate, accepted, newly_evicted)
+        assert self.tracker.count() == self.oracle.count()
+        assert self.tracker._deteriorated == self.oracle._deteriorated
+        assert history_rows(self.tracker) == history_rows(self.oracle)
+        self.peak = max(self.peak, self.tracker.count())
+
+    def count(self):
+        return self.tracker.count()
 
 
 def small_config(**overrides):
@@ -320,16 +360,9 @@ class TestRun:
         # archivers evict mutually nondominated points, so a run rarely makes
         # one eviction batch dominate some members and not others; a stub
         # archive with random evictions does so on most steps
-        class Store:
-            def __init__(self):
-                self.current = []
-
-            def members(self):
-                return list(self.current)
-
         rng = np.random.default_rng(seed)
         tracker = DeteriorationTracker(2)
-        store = Store()
+        store = StubStore()
         history = []
         for i in range(300):
             candidate = sol(i, tuple(float(x) for x in rng.integers(0, 6, size=2)))
@@ -342,6 +375,69 @@ class TestRun:
             tracker.observe(store, candidate, accepted, evicted)
             assert tracker.count() == oracle_deterioration_count(history, store.current)
             assert_history_is_evicted_front(tracker, history)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tracker_matches_the_broadcast_tracker_on_arbitrary_evictions(self, seed):
+        # batches of several rows, with duplicates and rows that dominate one
+        # another, evicted from members that need not be nondominated
+        rng = np.random.default_rng(seed)
+        paired = PairedTracker(3)
+        store = StubStore()
+        multi = duplicates = dominating = 0
+        for i in range(300):
+            candidate = sol(i, tuple(float(x) for x in rng.integers(0, 4, size=3)))
+            evicted = [m for m in store.current if rng.random() < 0.3]
+            store.current = [m for m in store.current if m not in evicted]
+            accepted = bool(rng.random() < 0.8)
+            if accepted:
+                store.current.append(candidate)
+            rows = [s.objectives.values for s in evicted]
+            multi += len(rows) > 1
+            duplicates += len(set(rows)) < len(rows)
+            dominating += any(
+                a != b and all(x <= y for x, y in zip(a, b)) for a in rows for b in rows
+            )
+            paired.observe(store, candidate, accepted, evicted)
+        assert multi > 20 and duplicates > 0 and dominating > 10
+        assert paired.peak > 0
+
+    def test_tracker_matches_the_broadcast_tracker_in_runs(self, monkeypatch):
+        monkeypatch.setattr(engine, "DeteriorationTracker", PairedTracker)
+        configs = [
+            RunConfig(
+                problem="lattice:12:3",
+                archive=ArchiveConfig("rn", capacity=4),
+                population_size=8,
+                max_evaluations=200,
+                seed=seed,
+            )
+            for seed in range(25)
+        ]
+        configs.append(
+            RunConfig(
+                problem="zdt1",
+                archive=ArchiveConfig("grid", capacity=100),
+                population_size=40,
+                max_evaluations=3000,
+            )
+        )
+        configs.append(
+            RunConfig(
+                problem="zdt2",
+                archive=ArchiveConfig("gps"),
+                population_size=40,
+                max_evaluations=3000,
+            )
+        )
+        peaks = {}
+        for config in configs:
+            state = initialize(config)
+            while state.evaluations_done < config.max_evaluations:
+                step(state, config)
+            peaks[config.problem] = max(peaks.get(config.problem, 0), state.tracker.peak)
+        # the lattice and gps runs deteriorate, so the id sets are exercised
+        assert peaks["lattice:12:3"] > 0
+        assert peaks["zdt2"] > 0
 
     def test_summary_reports_gps_monotonicity(self):
         config = RunConfig(
