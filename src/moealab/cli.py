@@ -8,10 +8,13 @@ Exit codes: 0 success, 1 runtime assertion failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +28,6 @@ from .engine import (
     build_archive,
     run,
 )
-from .generator import LocalSearchConfig, VariationConfig
 from .metrics import complexity_sweep, coverage
 from .problems import (
     LATTICE_POINT_LIMIT,
@@ -34,91 +36,87 @@ from .problems import (
     get_problem,
 )
 
-_ARCHIVE_KEYS = {
-    "kind",
-    "capacity",
-    "divisions",
-    "inflation",
-    "rays_per_axis",
-    "grid_lower",
-    "grid_upper",
-}
-_VARIATION_KEYS = {
-    "crossover_prob",
-    "crossover_spread",
-    "mutation_prob",
-    "mutation_spread",
-    "archive_parent_prob",
-}
-_LOCAL_SEARCH_KEYS = {"enabled", "steps", "step_scale"}
-_RUN_KEYS = {
-    "problem",
-    "m",
-    "population_size",
-    "max_evaluations",
-    "replacement_count",
-    "seed",
-    "preset",
-    "metrics_every",
-    "archive",
-    "variation",
-    "local_search",
-    "out_dir",
-    "repeats",
-}
-_COMPARE_KEYS = {
-    "problem",
-    "m",
-    "population_size",
-    "max_evaluations",
-    "replacement_count",
-    "seed",
-    "metrics_every",
-    "variation",
-    "local_search",
-    "out_dir",
-    "repeats",
-    "variants",
-}
-_VARIANT_KEYS = {"name", "archive", "preset", "variation", "local_search"}
+# the RunConfig fields a compare variant may set over the shared base; every
+# variant names its own archive, and only a variant may set archive or preset
+_VARIANT_FIELDS = ("archive", "preset", "variation", "local_search")
+_VARIANT_ONLY = ("archive", "preset")
 
 
-def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
+def _describe(value: object) -> str:
+    return "null" if value is None else f"{type(value).__name__} {value!r}"
+
+
+def _load(cls: type, data: object, path: str):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    Keys are the dataclass fields; a missing field takes its default, an
+    unknown key or a value of the wrong type raises ConfigError naming the
+    key path, and so does a ValueError from the dataclass's __post_init__.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - allowed)
+        raise ConfigError(f"{path} must be an object, got {_describe(data)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown keys in {context}: {unknown}")
-
-
-def _archive_from(data: dict, context: str) -> ArchiveConfig:
-    _reject_unknown(data, _ARCHIVE_KEYS, context)
-    if "kind" not in data:
-        raise ConfigError(f"{context} needs a 'kind'")
-    kwargs = dict(data)
-    for key in ("grid_lower", "grid_upper"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
+        raise ConfigError(f"unknown keys in {path}: {unknown}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in data:
+            kwargs[name] = _value(hints[name], data[name], f"{path}.{name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path} needs a {name!r}")
     try:
-        return ArchiveConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _variation_from(data: dict, context: str) -> VariationConfig:
-    _reject_unknown(data, _VARIATION_KEYS, context)
-    try:
-        return VariationConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+def _value(hint: object, value: object, path: str) -> object:
+    """Type-check one JSON value against a field's type hint. A bool is
+    not a number here, and an int passes unchanged as a float, so asdict
+    writes the number back as it was given."""
+    if dataclasses.is_dataclass(hint):
+        return _load(hint, value, path)
+    optional = typing.get_origin(hint) is types.UnionType
+    if optional:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:  # tuple[float, ...]
+        expected = "a list of numbers"
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return tuple(float(v) for v in value)
+    elif hint is float:
+        expected = "float"
+        if type(value) in (int, float):
+            return value
+    elif hint in (int, bool, str):
+        expected = hint.__name__
+        if type(value) is hint:
+            return value
+    else:
+        raise TypeError(f"no config loader for {path} of type {hint!r}")
+    if optional:
+        expected += " or null"
+    raise ConfigError(f"{path} must be {expected}, got {_describe(value)}")
 
 
-def _local_search_from(data: dict, context: str) -> LocalSearchConfig:
-    _reject_unknown(data, _LOCAL_SEARCH_KEYS, context)
-    try:
-        return LocalSearchConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+def _run_file_keys(data: dict) -> tuple[dict, str, int]:
+    """Split off the two run-file keys that are not RunConfig fields."""
+    fields = dict(data)
+    out_dir = fields.pop("out_dir", "results")
+    repeats = fields.pop("repeats", 1)
+    _value(str, out_dir, "config.out_dir")
+    if _value(int, repeats, "config.repeats") < 1:
+        raise ConfigError(f"config.repeats must be >= 1, got {repeats}")
+    return fields, out_dir, repeats
+
+
+def _run_config(data: dict, path: str) -> RunConfig:
+    config = _load(RunConfig, data, path)
+    config.validate()
+    return config
 
 
 def _load_json(path: str) -> dict:
@@ -133,33 +131,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config root in {path} must be an object")
     return data
-
-
-def _run_config_from(data: dict, context: str = "config") -> tuple[RunConfig, str, int]:
-    _reject_unknown(data, _RUN_KEYS, context)
-    if "problem" not in data:
-        raise ConfigError(f"{context} needs a 'problem'")
-    config = RunConfig(
-        problem=data["problem"],
-        archive=_archive_from(data.get("archive", {"kind": "grid"}), f"{context}.archive"),
-        m=data.get("m"),
-        population_size=data.get("population_size", 40),
-        variation=_variation_from(data.get("variation", {}), f"{context}.variation"),
-        local_search=_local_search_from(
-            data.get("local_search", {}), f"{context}.local_search"
-        ),
-        seed=data.get("seed", 0),
-        max_evaluations=data.get("max_evaluations", 5000),
-        replacement_count=data.get("replacement_count", 1),
-        preset=data.get("preset"),
-        metrics_every=data.get("metrics_every"),
-    )
-    config.validate()
-    out_dir = data.get("out_dir", "results")
-    repeats = data.get("repeats", 1)
-    if not isinstance(repeats, int) or repeats < 1:
-        raise ConfigError(f"{context}: repeats must be a positive integer")
-    return config, out_dir, repeats
 
 
 def _format_float(value: float) -> str:
@@ -208,7 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     ):
         if value is not None:
             data[key] = value
-    config, out_dir, repeats = _run_config_from(data)
+    fields, out_dir, repeats = _run_file_keys(data)
+    config = _run_config(fields, "config")
     out = Path(args.out or out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = _run_repeats(config, repeats)
@@ -227,7 +199,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    _reject_unknown(data, _COMPARE_KEYS, "config")
     variants_data = data.pop("variants", [])
     if not isinstance(variants_data, list) or len(variants_data) < 2:
         raise ConfigError("compare needs at least 2 variants")
@@ -235,36 +206,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
         data["seed"] = args.seed
     if args.repeats is not None:
         data["repeats"] = args.repeats
-    base = dict(data)
-    base.setdefault("archive", {"kind": "grid"})
-    out_dir_default = base.pop("out_dir", "results")
-    repeats = base.pop("repeats", 1)
-    if not isinstance(repeats, int) or repeats < 1:
-        raise ConfigError("repeats must be a positive integer")
+    base, out_dir, repeats = _run_file_keys(data)
+    for key in _VARIANT_ONLY:
+        if key in base:
+            raise ConfigError(f"config.{key} may only be set in a variant")
+    _load(RunConfig, base, "config")
 
     names: list[str] = []
     configs: list[RunConfig] = []
     for idx, variant in enumerate(variants_data):
         context = f"variants[{idx}]"
-        _reject_unknown(variant, _VARIANT_KEYS, context)
+        if not isinstance(variant, dict):
+            raise ConfigError(f"{context} must be an object, got {_describe(variant)}")
+        unknown = sorted(set(variant) - {"name", *_VARIANT_FIELDS})
+        if unknown:
+            raise ConfigError(f"unknown keys in {context}: {unknown}")
         if "archive" not in variant:
             raise ConfigError(f"{context} needs an 'archive'")
-        merged = dict(base)
-        merged["archive"] = variant["archive"]
-        if "preset" in variant:
-            merged["preset"] = variant["preset"]
-        if "variation" in variant:
-            merged["variation"] = variant["variation"]
-        if "local_search" in variant:
-            merged["local_search"] = variant["local_search"]
-        config, _, _ = _run_config_from(merged, context)
-        name = variant.get("name", f"{config.archive.kind}-{idx}")
+        fields = {k: v for k, v in variant.items() if k != "name"}
+        config = _run_config({**base, **fields}, context)
+        name = _value(str, variant.get("name", f"{config.archive.kind}-{idx}"),
+                      f"{context}.name")
         if name in names:
             raise ConfigError(f"duplicate variant name {name!r}")
         names.append(name)
         configs.append(config)
 
-    out = Path(args.out or out_dir_default)
+    out = Path(args.out or out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     per_variant: list[list[RunResult]] = [
@@ -311,7 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         csv_lines.append(",".join(cell(row, col) for col in columns))
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
     payload = {
-        "base": {k: v for k, v in data.items() if k != "variants"},
+        "base": data,
         "variants": names,
         "rows": rows,
     }
@@ -325,8 +293,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
-    if len(sizes) < 2:
-        raise ConfigError("sweep needs at least 2 sizes")
+    if any(size < 1 for size in sizes):
+        raise ConfigError(f"--sizes must all be >= 1, got {args.sizes!r}")
+    if len(set(sizes)) < 2:
+        raise ConfigError(f"sweep needs at least 2 distinct sizes, got {args.sizes!r}")
     if args.archiver not in ARCHIVE_KINDS:
         raise ConfigError(f"unknown archiver {args.archiver!r}")
     report = complexity_sweep(args.archiver, sizes, args.seed)

@@ -8,7 +8,7 @@ The replacement count per generation parameterizes the generation gap:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -459,7 +459,3 @@ def run(config: RunConfig) -> RunResult:
         archive=state.archive,
         summary=summary,
     )
-
-
-def with_seed(config: RunConfig, seed: int) -> RunConfig:
-    return replace(config, seed=seed)

@@ -1,5 +1,5 @@
 """The rn and grid archives sweep a candidate against an (n, M) objective array
-with core.dominance_masks. Driven side by side with the same archives using a
+with core.weak_relations. Driven side by side with the same archives using a
 scalar compare() sweep, they must agree on every outcome, eviction, member
 order and counter, and the array must hold the members' objectives row for
 row after every insertion."""

@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from moealab.cli import main
+from moealab import ArchiveConfig, LocalSearchConfig, RunConfig, VariationConfig
+from moealab.cli import _load, main
 from oracles import oracle_pairwise_nondominating
 
 
@@ -89,6 +91,75 @@ class TestCmdRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["max_evaluations"] == 150
 
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ({"population_size": "40"}, "config.population_size must be int, got str '40'"),
+            ({"seed": 1.5}, "config.seed must be int, got float 1.5"),
+            (
+                {"archive": {"kind": "grid", "capacity": "10"}},
+                "config.archive.capacity must be int, got str '10'",
+            ),
+            (
+                {"variation": {"mutation_spread": None}},
+                "config.variation.mutation_spread must be float, got null",
+            ),
+            ({"problem": 3}, "config.problem must be str, got int 3"),
+            (
+                {"archive": {"kind": "grid", "grid_lower": 5}},
+                "config.archive.grid_lower must be a list of numbers or null, got int 5",
+            ),
+            (
+                {"local_search": {"enabled": "yes"}},
+                "config.local_search.enabled must be bool, got str 'yes'",
+            ),
+            ({"repeats": True}, "config.repeats must be int, got bool True"),
+            ({"m": "2"}, "config.m must be int or null, got str '2'"),
+            (
+                {"variation": {"crossover_prob": True}},
+                "config.variation.crossover_prob must be float, got bool True",
+            ),
+        ],
+    )
+    def test_wrongly_typed_value_exits_2_naming_key_and_type(
+        self, tmp_path, capsys, entries, expected
+    ):
+        config = sch_config(tmp_path, **entries)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_summary_config_block_keeps_the_numbers_as_given(self, tmp_path):
+        # ints in float fields stay ints, as asdict wrote them before the typed
+        # loader; grid bounds become float tuples
+        config = write_config(
+            tmp_path / "config.json",
+            problem="sch",
+            population_size=10,
+            max_evaluations=300,
+            seed=3,
+            metrics_every=5,
+            archive={
+                "kind": "grid", "capacity": 20, "divisions": 8, "inflation": 0,
+                "grid_lower": [0, 0], "grid_upper": [4, 4],
+            },
+            variation={"crossover_prob": 1, "mutation_prob": None},
+            local_search={"enabled": True, "steps": 2, "step_scale": 0.1},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert json.dumps(summary["config"], sort_keys=True) == (
+            '{"archive": {"capacity": 20, "divisions": 8, "grid_lower": [0.0, 0.0], '
+            '"grid_upper": [4.0, 4.0], "inflation": 0, "kind": "grid", '
+            '"rays_per_axis": 64}, "local_search": {"enabled": true, '
+            '"step_scale": 0.1, "steps": 2}, "m": null, "max_evaluations": 300, '
+            '"metrics_every": 5, "population_size": 10, "preset": null, '
+            '"problem": "sch", "replacement_count": 1, "seed": 3, "variation": '
+            '{"archive_parent_prob": 0.5, "crossover_prob": 1, '
+            '"crossover_spread": 15.0, "mutation_prob": null, "mutation_spread": 20.0}}'
+        )
+
     def test_byte_identical_reruns(self, tmp_path):
         config = sch_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -153,6 +224,29 @@ class TestCmdCompare:
         assert row_b["coverage_over_a"] == 1.0
 
 
+    def test_variant_names_that_print_alike_exit_2(self, tmp_path, capsys):
+        config = self.compare_config(
+            tmp_path,
+            [
+                {"name": 1, "archive": {"kind": "rn"}},
+                {"name": "1", "archive": {"kind": "gps"}},
+            ],
+        )
+        assert main(["compare", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "variants[0].name must be str, got int 1" in capsys.readouterr().err
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize(
+        "config",
+        [ArchiveConfig("grid"), VariationConfig(), LocalSearchConfig(), RunConfig("sch")],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_every_field_at_its_default_round_trips(self, config):
+        data = json.loads(json.dumps(asdict(config)))
+        assert _load(type(config), data, "config") == config
+
+
 class TestCmdSweep:
     def test_writes_report_and_csv(self, tmp_path):
         out = tmp_path / "sweep"
@@ -171,6 +265,12 @@ class TestCmdSweep:
     def test_single_size_exits_2(self, tmp_path):
         assert main(
             ["sweep", "--archiver", "rn", "--sizes", "25", "--out", str(tmp_path)]
+        ) == 2
+
+    @pytest.mark.parametrize("sizes", ["0,5", "5,5"])
+    def test_non_positive_or_repeated_sizes_exit_2(self, tmp_path, sizes):
+        assert main(
+            ["sweep", "--archiver", "rn", "--sizes", sizes, "--out", str(tmp_path)]
         ) == 2
 
     def test_unknown_archiver_rejected_by_parser(self, tmp_path):
