@@ -39,12 +39,9 @@ class InsertOutcome:
 
     status: InsertStatus
     departed: tuple[Solution, ...] = ()
-    dominance_comparisons_used: int = 0
 
     @classmethod
-    def of(
-        cls, kept: bool, departed: Sequence[Solution], comparisons_used: int
-    ) -> InsertOutcome:
+    def of(cls, kept: bool, departed: Sequence[Solution]) -> InsertOutcome:
         """The outcome of a call that kept the candidate or not and removed
         `departed` from the store."""
         if not kept:
@@ -53,7 +50,7 @@ class InsertOutcome:
             status = InsertStatus.ACCEPTED_REPLACING
         else:
             status = InsertStatus.ACCEPTED_NEW
-        return cls(status, tuple(departed), comparisons_used)
+        return cls(status, tuple(departed))
 
     @property
     def accepted(self) -> bool:

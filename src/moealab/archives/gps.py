@@ -98,21 +98,18 @@ class GpsArchive(Archive):
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
-        start = counters.dominance_comparisons
         ray = ray_of(candidate.objectives, self.spec, counters)
         incumbent = self.incumbents.get(ray)
         if incumbent is None:
             self.incumbents[ray] = candidate
             self._admitted[ray] = self.distance_to_reference(candidate)
-            used = counters.dominance_comparisons - start
-            outcome = InsertOutcome.of(True, (), used)
+            outcome = InsertOutcome.of(True, ())
             return outcome, FeedbackSignal(True, 0.0, len(self.incumbents))
 
         # exactly one comparison: the incumbent of the candidate's own ray
         counters.dominance_comparisons += 1
         d_new = self.distance_to_reference(candidate)
         d_old = self.distance_to_reference(incumbent)
-        used = counters.dominance_comparisons - start
         if d_new < d_old:
             # an incumbent placed without try_insert has no record: its own
             # distance stands in
@@ -120,7 +117,7 @@ class GpsArchive(Archive):
                 self.monotonicity_violations += 1
             self.incumbents[ray] = candidate
             self._admitted[ray] = d_new
-            outcome = InsertOutcome.of(True, (incumbent,), used)
+            outcome = InsertOutcome.of(True, (incumbent,))
             return outcome, FeedbackSignal(True, 1.0, len(self.incumbents))
-        outcome = InsertOutcome.of(False, (), used)
+        outcome = InsertOutcome.of(False, ())
         return outcome, FeedbackSignal(False, 1.0, len(self.incumbents))

@@ -93,12 +93,10 @@ class GridArchive(NondominatedStore):
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
-        start = counters.dominance_comparisons
         beaten = self._sweep(candidate, counters)
 
         if beaten is None:
-            used = counters.dominance_comparisons - start
-            outcome = InsertOutcome.of(False, (), used)
+            outcome = InsertOutcome.of(False, ())
             hint = self._occupancy_near(candidate.objectives)
             return outcome, FeedbackSignal(False, hint, len(self._members))
 
@@ -125,8 +123,7 @@ class GridArchive(NondominatedStore):
         if kept:
             self._add(candidate, cell)
 
-        used = counters.dominance_comparisons - start
-        outcome = InsertOutcome.of(kept, departed, used)
+        outcome = InsertOutcome.of(kept, departed)
         hint = float(len(self._occupancy.get(cell, ())))
         return outcome, FeedbackSignal(kept, hint, len(self._members))
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core import Counters, Solution, dominance_masks
+from ..core import Counters, Solution, dominance_masks, pairwise_distances
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
 
 
@@ -29,7 +29,6 @@ class RnArchive(NondominatedStore):
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
-        start = counters.dominance_comparisons
         beaten = self._sweep(candidate, counters)
         hint = self._crowding_hint(candidate, self._members)
         departed: list[Solution] = []
@@ -40,8 +39,7 @@ class RnArchive(NondominatedStore):
                 departed += self.cluster_truncate(self.capacity)
         # truncation keeps member order, so a kept candidate is still last
         kept = beaten is not None and self._members[-1] is candidate
-        used = counters.dominance_comparisons - start
-        outcome = InsertOutcome.of(kept, departed, used)
+        outcome = InsertOutcome.of(kept, departed)
         return outcome, FeedbackSignal(outcome.accepted, hint, len(self._members))
 
     def _crowding_hint(self, candidate: Solution, members: list[Solution]) -> float:
@@ -68,13 +66,7 @@ class RnArchive(NondominatedStore):
         n = len(self._members)
         if n <= target:
             return []
-        # summed one objective column at a time, as metrics.spacing does: below
-        # 8 objectives this equals an (n, n, M) broadcast's sum bit for bit
-        squared = np.zeros((n, n))
-        for column in self._objectives.T:
-            diff = column[:, None] - column[None, :]
-            squared += diff * diff
-        point_dist = np.sqrt(squared)
+        point_dist = pairwise_distances(self._objectives)
 
         # dist[a, b] is the linkage of clusters a and b, ids[a] the smallest
         # member id of cluster a; the strict upper triangle of an (n, n) mask

@@ -142,13 +142,6 @@ def dominates(
     return compare(a, b, counters) is DominanceRelation.DOMINATES
 
 
-def weakly_dominates(
-    a: ObjectiveVector, b: ObjectiveVector, counters: Counters | None = None
-) -> bool:
-    rel = compare(a, b, counters)
-    return rel is DominanceRelation.DOMINATES or rel is DominanceRelation.EQUAL
-
-
 def nondominated_filter(
     solutions: Iterable[Solution], counters: Counters | None = None
 ) -> list[Solution]:
@@ -224,6 +217,21 @@ def weak_relations(
         below &= column <= x
         above &= column >= x
     return below, above
+
+
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every two rows of `points` (n x M), as an
+    (n, n) array.
+
+    The squares are summed one column at a time, left to right: the order
+    numpy's sum takes over a last axis shorter than 8, so below 8 objectives
+    the distances equal an (n, n, M) broadcast's bit for bit.
+    """
+    squared = np.zeros((len(points), len(points)))
+    for column in points.T:
+        diff = column[:, None] - column[None, :]
+        squared += diff * diff
+    return np.sqrt(squared)
 
 
 def deterioration_check(

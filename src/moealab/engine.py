@@ -269,6 +269,11 @@ def build_archive(config: ArchiveConfig, problem: ProblemSpec) -> Archive:
         upper = config.grid_upper if config.grid_upper is not None else (1.0,) * problem.m
         if len(lower) != problem.m or len(upper) != problem.m:
             raise ConfigError("grid bounds must match the problem's objective count")
+        if not all(lo < hi for lo, hi in zip(lower, upper)):
+            raise ConfigError(
+                f"archive grid_lower {lower} must be strictly below grid_upper {upper} "
+                "on every axis"
+            )
         spec = GridSpec(ObjectiveVector(lower), ObjectiveVector(upper), config.divisions)
         return GridArchive(config.capacity, spec, config.inflation)
     if problem.objective_floor is None:

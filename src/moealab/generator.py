@@ -93,13 +93,16 @@ def generate(
     """Produce an unevaluated child: per-gene simulated-binary crossover, then
     per-gene polynomial mutation, clamped to bounds.
 
-    Identical (rng state, parents, config) always yields an identical child.
-    The uniforms are drawn in blocks, but a block only ever holds draws that
-    one rng.random() call per draw would also have made, and Generator.random(k)
-    yields the same doubles as k scalar calls, so the child and the rng state
-    afterwards are the same as drawing one at a time. The arithmetic stays on
-    Python floats: numpy's power is not bit-identical to Python's ** on every
-    host (SIMD builds round some results differently).
+    Identical (rng state, parents, config) always yields an identical child,
+    and the child and the rng state afterwards are those of one rng.random()
+    call per uniform. A gene uses at most five (crossover test, SBX u, child
+    choice, mutation test, mutation u), so one block of 5n is drawn and walked,
+    then the state is restored and exactly the uniforms used are drawn again:
+    Generator.random(k) yields the same doubles as k scalar calls. The rewind
+    re-draws because bit_generator.advance would also drop the 32-bit half
+    that rng.integers can leave buffered. The arithmetic stays on Python
+    floats: numpy's power is not bit-identical to Python's ** on every host
+    (SIMD builds round some results differently).
     """
     x1s, x2s = parents[0].genome, parents[1].genome
     n = len(x1s)
@@ -107,55 +110,36 @@ def generate(
     crossover_prob = config.crossover_prob
     exponent_c = 1.0 / (config.crossover_spread + 1.0)
     eta_m = config.mutation_spread
-    # floor[k]: the draws genes k.. make whatever the draws turn out to be, one
-    # crossover test each plus a mutation test where the gene has width
-    floor = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        lo, hi = bounds[k]
-        floor[k] = floor[k + 1] + (2 if hi > lo else 1)
-    # a refill happens only once the block is used up, and draws what the
-    # current gene is now certain to take plus the floor of the later genes
-    block: list[float] = []
+    state = rng.bit_generator.state
+    block = rng.random(5 * n).tolist()
     pos = 0
     genome = []
     for k in range(n):
         lo, hi = bounds[k]
-        wide = hi > lo
-        later = floor[k + 1]
-        if pos == len(block):
-            block, pos = rng.random(later + 1 + wide).tolist(), 0
-        r = block[pos]
-        pos += 1
-        if r < crossover_prob:
-            if pos == len(block):
-                block, pos = rng.random(later + 2 + wide).tolist(), 0
-            u = block[pos]
-            pos += 1
+        if block[pos] < crossover_prob:
+            u = block[pos + 1]
             if u <= 0.5:
                 beta = (2.0 * u) ** exponent_c
             else:
                 beta = (1.0 / (2.0 * (1.0 - u))) ** exponent_c
             x1, x2 = x1s[k], x2s[k]
-            if pos == len(block):
-                block, pos = rng.random(later + 1 + wide).tolist(), 0
-            if block[pos] < 0.5:
+            if block[pos + 2] < 0.5:
                 g = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
             else:
                 g = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
-            pos += 1
+            pos += 3
         else:
             g = x1s[k]
-        if wide:
-            if pos == len(block):
-                block, pos = rng.random(later + 1).tolist(), 0
-            r = block[pos]
             pos += 1
-            if r < mutation_prob:
-                if pos == len(block):
-                    block, pos = rng.random(later + 1).tolist(), 0
-                g = _polynomial_mutation(g, lo, hi, eta_m, block[pos])
+        if hi > lo:
+            if block[pos] < mutation_prob:
+                g = _polynomial_mutation(g, lo, hi, eta_m, block[pos + 1])
+                pos += 2
+            else:
                 pos += 1
         genome.append(min(hi, max(lo, g)))
+    rng.bit_generator.state = state
+    rng.random(pos)
     return Solution(next(ids), tuple(genome))
 
 

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .archives import Archive, GpsArchive, GridArchive, GridSpec, RaySpec, RnArchive
-from .core import Counters, ObjectiveVector, Solution
+from .core import Counters, ObjectiveVector, Solution, pairwise_distances
 
 METRIC_GD = "gd"
 METRIC_SPACING = "spacing"
@@ -56,15 +56,7 @@ def spacing(front: Sequence[ObjectiveVector]) -> float:
     zero for evenly spread fronts. Undefined below two points."""
     if len(front) < 2:
         raise ValueError(f"spacing needs at least 2 points, got {len(front)}")
-    f = _as_matrix(front)
-    # summed one objective column at a time, left to right: the order numpy's
-    # sum takes over a last axis shorter than 8, so below 8 objectives the
-    # distances equal an (n, n, M) broadcast's bit for bit
-    squared = np.zeros((len(f), len(f)))
-    for column in f.T:
-        diff = column[:, None] - column[None, :]
-        squared += diff * diff
-    dists = np.sqrt(squared)
+    dists = pairwise_distances(_as_matrix(front))
     np.fill_diagonal(dists, np.inf)
     nearest = dists.min(axis=1)
     return float(nearest.std())

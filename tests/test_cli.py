@@ -77,6 +77,27 @@ class TestCmdRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "archive, bounds",
+        [
+            (
+                {"kind": "grid", "grid_lower": [4, 4], "grid_upper": [0, 0]},
+                "(4.0, 4.0) must be strictly below grid_upper (0.0, 0.0)",
+            ),
+            # the default upper bound is 1 on every axis
+            (
+                {"kind": "grid", "grid_lower": [2, 0.5]},
+                "(2.0, 0.5) must be strictly below grid_upper (1.0, 1.0)",
+            ),
+        ],
+    )
+    def test_grid_lower_not_below_upper_exits_2(self, tmp_path, capsys, archive, bounds):
+        config = sch_config(tmp_path, archive=archive)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: archive grid_lower {bounds} on every axis\n"
+        )
+
     def test_override_flags_reach_the_run(self, tmp_path):
         config = sch_config(tmp_path)
         out = tmp_path / "out"
