@@ -1,8 +1,7 @@
 """The uniform archive contract every archiver implements.
 
 An archive is a bounded elitist store. Insertion reports exactly how the
-membership changed (outcome) and what the neighbourhood looked like
-(feedback), so the engine can stay archiver-agnostic.
+membership changed (the outcome), so the engine can stay archiver-agnostic.
 """
 
 from __future__ import annotations
@@ -65,14 +64,13 @@ class InsertOutcome:
 
 @dataclass(frozen=True)
 class FeedbackSignal:
-    """Archive feedback routed to both the generator and the population update.
-
-    crowding_hint is a nonnegative density estimate near the candidate on an
-    archiver-defined scale; archive_size is the member count after the attempt.
+    """The second half of what try_insert returns; nothing in the package
+    reads it. accepted equals the outcome's; archive_size is the member count
+    after the attempt. The class goes together with the tuple, once the
+    benchmark harness reads the outcome alone (ROADMAP item 2).
     """
 
     accepted: bool
-    crowding_hint: float
     archive_size: int
 
 

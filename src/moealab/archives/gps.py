@@ -104,7 +104,7 @@ class GpsArchive(Archive):
             self.incumbents[ray] = candidate
             self._admitted[ray] = self.distance_to_reference(candidate)
             outcome = InsertOutcome.of(True, ())
-            return outcome, FeedbackSignal(True, 0.0, len(self.incumbents))
+            return outcome, FeedbackSignal(True, len(self.incumbents))
 
         # exactly one comparison: the incumbent of the candidate's own ray
         counters.dominance_comparisons += 1
@@ -118,6 +118,6 @@ class GpsArchive(Archive):
             self.incumbents[ray] = candidate
             self._admitted[ray] = d_new
             outcome = InsertOutcome.of(True, (incumbent,))
-            return outcome, FeedbackSignal(True, 1.0, len(self.incumbents))
+            return outcome, FeedbackSignal(True, len(self.incumbents))
         outcome = InsertOutcome.of(False, ())
-        return outcome, FeedbackSignal(False, 1.0, len(self.incumbents))
+        return outcome, FeedbackSignal(False, len(self.incumbents))

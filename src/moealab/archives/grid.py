@@ -97,8 +97,7 @@ class GridArchive(NondominatedStore):
 
         if beaten is None:
             outcome = InsertOutcome.of(False, ())
-            hint = self._occupancy_near(candidate.objectives)
-            return outcome, FeedbackSignal(False, hint, len(self._members))
+            return outcome, FeedbackSignal(False, len(self._members))
 
         departed = self._retain(~beaten)
         for m in departed:
@@ -124,8 +123,7 @@ class GridArchive(NondominatedStore):
             self._add(candidate, cell)
 
         outcome = InsertOutcome.of(kept, departed)
-        hint = float(len(self._occupancy.get(cell, ())))
-        return outcome, FeedbackSignal(kept, hint, len(self._members))
+        return outcome, FeedbackSignal(kept, len(self._members))
 
     def adapt_bounds(
         self, v: ObjectiveVector, counters: Counters | None = None
@@ -181,9 +179,3 @@ class GridArchive(NondominatedStore):
             key=lambda c: c.coords,
         )
         return crowded, crowd
-
-    def _occupancy_near(self, v: ObjectiveVector) -> float:
-        if not self.spec.contains(v):
-            return 0.0
-        cell = cell_of(v, self.spec)
-        return float(len(self._occupancy.get(cell, ())))

@@ -142,27 +142,19 @@ def dominates(
     return compare(a, b, counters) is DominanceRelation.DOMINATES
 
 
-def nondominated_filter(
-    solutions: Iterable[Solution], counters: Counters | None = None
-) -> list[Solution]:
-    """Return the members not dominated by any other member.
+def nondominated_filter(solutions: Iterable[Solution]) -> list[Solution]:
+    """Return the members not dominated by any other member, in input order.
 
     Equal duplicates are all retained (Equal is not dominance); input order
     does not affect membership, only the order of the returned list.
     """
     pool = list(solutions)
-    result: list[Solution] = []
-    for i, s in enumerate(pool):
-        dominated = False
-        for j, t in enumerate(pool):
-            if i == j:
-                continue
-            if compare(t.objectives, s.objectives, counters) is DominanceRelation.DOMINATES:
-                dominated = True
-                break
-        if not dominated:
-            result.append(s)
-    return result
+    if not pool:
+        return []
+    objectives = np.array([s.objectives.values for s in pool], dtype=float)
+    _, strict = dominance_masks(objectives, objectives)
+    dominated = strict.any(axis=0).tolist()
+    return [s for s, beaten in zip(pool, dominated) if not beaten]
 
 
 def dominance_masks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

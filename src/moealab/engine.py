@@ -15,7 +15,6 @@ import numpy as np
 
 from .archives import (
     Archive,
-    FeedbackSignal,
     GpsArchive,
     GridArchive,
     GridSpec,
@@ -40,6 +39,7 @@ from .generator import (
 )
 from .metrics import generational_distance, spacing
 from .problems import (
+    LATTICE_POINT_LIMIT,
     ProblemSpec,
     UnknownProblemError,
     brute_force_front,
@@ -106,6 +106,14 @@ class RunConfig:
             problem = get_problem(self.problem)
         except UnknownProblemError as exc:
             raise ConfigError(str(exc)) from exc
+        if problem.table is not None:
+            # the metrics enumerate every point for the true front
+            points = problem.table.shape[0] * problem.table.shape[1]
+            if points > LATTICE_POINT_LIMIT:
+                raise ConfigError(
+                    f"{problem.id} has {points} points, above the "
+                    f"{LATTICE_POINT_LIMIT}-point enumeration guard"
+                )
         self.archive.validate()
         if self.m is not None and self.m != problem.m:
             raise ConfigError(
@@ -288,10 +296,11 @@ def _evaluate(state: RunState, genome: tuple[float, ...]) -> ObjectiveVector:
     return evaluate(state.problem, genome)
 
 
-def _offer(state: RunState, candidate: Solution) -> FeedbackSignal:
-    outcome, feedback = state.archive.try_insert(candidate, state.counters)
+def _offer(state: RunState, candidate: Solution) -> bool:
+    """Offer a candidate to the archive; returns whether it was accepted."""
+    outcome, _ = state.archive.try_insert(candidate, state.counters)
     state.tracker.observe(state.archive, candidate, outcome.accepted, outcome.departed)
-    return feedback
+    return outcome.accepted
 
 
 def initialize(config: RunConfig) -> RunState:
@@ -323,15 +332,13 @@ def initialize(config: RunConfig) -> RunState:
     return state
 
 
-def update_population(
-    state: RunState, child: Solution, feedback: FeedbackSignal
-) -> None:
-    """Feedback-driven replacement: an archive-accepted child always enters the
+def update_population(state: RunState, child: Solution, accepted: bool) -> None:
+    """Archive-driven replacement: an archive-accepted child always enters the
     population (displacing a member it dominates when one exists, otherwise a
     random member); a rejected child only enters by dominating a randomly
     sampled member."""
     pop = state.population
-    if feedback.accepted:
+    if accepted:
         index = None
         for i, member in enumerate(pop):
             if dominates(child.objectives, member.objectives, state.counters):
@@ -403,10 +410,9 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
                 state.counters,
                 max_evaluations=config.max_evaluations,
             )
-        feedback = _offer(state, child)
-        if feedback.accepted:
-            accepted_count += 1
-        update_population(state, child, feedback)
+        accepted = _offer(state, child)
+        accepted_count += accepted
+        update_population(state, child, accepted)
         if fitness is not None:
             # entrants newer than this generation's fitness snapshot count as
             # archive-nondominated, which is exactly the strength floor

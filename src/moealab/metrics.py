@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .archives import Archive, GpsArchive, GridArchive, GridSpec, RaySpec, RnArchive
-from .core import Counters, ObjectiveVector, Solution, pairwise_distances
+from .core import Counters, ObjectiveVector, Solution, dominance_masks, pairwise_distances
 
 METRIC_GD = "gd"
 METRIC_SPACING = "spacing"
@@ -71,13 +71,8 @@ def coverage(
         raise ValueError("coverage needs a non-empty second set")
     if not a:
         return 0.0
-    am = _as_matrix(a)
-    covered = 0
-    for q in b:
-        qv = np.asarray(q.values, dtype=float)
-        if bool((am <= qv).all(axis=1).any()):
-            covered += 1
-    return covered / len(b)
+    weak, _ = dominance_masks(_as_matrix(a), _as_matrix(b))
+    return int(weak.any(axis=0).sum()) / len(b)
 
 
 @dataclass(frozen=True)

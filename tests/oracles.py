@@ -180,8 +180,8 @@ def cluster_truncate_oracle(
 class OracleTruncateRn(RnArchive):
     """RnArchive truncating with cluster_truncate_oracle."""
 
-    def cluster_truncate(self, target):
-        _, kept = cluster_truncate_oracle(self._members, target)
+    def cluster_truncate(self):
+        _, kept = cluster_truncate_oracle(self._members, self.capacity)
         stay = set(kept)
         return self._retain(np.array([m.id in stay for m in self._members], dtype=bool))
 

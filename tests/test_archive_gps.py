@@ -59,9 +59,8 @@ class TestRayOf:
 class TestGpsInsert:
     def test_vacant_ray_accepts(self):
         archive = GpsArchive(spec_k())
-        outcome, feedback = archive.try_insert(sol(0, (1.0, 1.0)), Counters())
+        outcome, _ = archive.try_insert(sol(0, (1.0, 1.0)), Counters())
         assert outcome.status is InsertStatus.ACCEPTED_NEW
-        assert feedback.crowding_hint == 0.0
 
     def test_closer_candidate_replaces_incumbent(self):
         archive = GpsArchive(spec_k())

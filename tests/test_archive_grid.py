@@ -119,9 +119,8 @@ class TestGridInsert:
     def test_empty_archive_accepts_into_its_cell(self):
         archive = GridArchive(5, unit_spec())
         counters = Counters()
-        outcome, feedback = archive.try_insert(sol(0, (0.3, 0.7)), counters)
+        outcome, _ = archive.try_insert(sol(0, (0.3, 0.7)), counters)
         assert outcome.status is InsertStatus.ACCEPTED_NEW
-        assert feedback.crowding_hint == 1.0
         assert occupancy_sorted(archive) == {CellIndex((1, 2)): (0,)}
 
     def test_crowded_cell_member_displaced_by_lonely_candidate(self):
@@ -131,11 +130,10 @@ class TestGridInsert:
         counters = Counters()
         archive.try_insert(sol(0, (0.10, 0.90)), counters)
         archive.try_insert(sol(1, (0.11, 0.89)), counters)
-        outcome, feedback = archive.try_insert(sol(2, (0.9, 0.1)), counters)
+        outcome, _ = archive.try_insert(sol(2, (0.9, 0.1)), counters)
         assert outcome.status is InsertStatus.ACCEPTED_REPLACING
         assert outcome.evicted_ids == (0,)
         assert set(members_values(archive)) == {(0.11, 0.89), (0.9, 0.1)}
-        assert feedback.crowding_hint == 1.0
 
     def test_candidate_into_equally_crowded_cell_rejected(self):
         archive = GridArchive(2, unit_spec())

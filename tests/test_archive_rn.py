@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moealab import (
@@ -90,43 +90,34 @@ class TestClusterTruncate:
         counters = Counters()
         archive.try_insert(sol(0, (0.0, 1.0)), counters)
         archive.try_insert(sol(1, (1.0, 0.0)), counters)
-        assert archive.cluster_truncate(2) == []
+        assert archive.cluster_truncate() == []
         assert len(archive.members()) == 2
 
     def test_closest_pair_merges_and_lower_id_represents(self):
-        archive = RnArchive(10)
+        archive = RnArchive(3)
         counters = Counters()
-        points = [(0.0, 4.0), (4.0, 0.0), (2.0, 2.0), (2.1, 1.9)]
-        for i, values in enumerate(points):
-            archive.try_insert(sol(i, values), counters)
-        evicted = archive.cluster_truncate(3)
+        for s in [sol(0, (0.0, 4.0)), sol(1, (4.0, 0.0)), sol(5, (2.1, 1.9))]:
+            archive.try_insert(s, counters)
+        outcome, _ = archive.try_insert(sol(3, (2.0, 2.0)), counters)
         # the (2,2)/(2.1,1.9) pair is by far the closest; equal mean distances
-        # inside the pair, so the lower id (2,2) stays
-        assert [m.objectives.values for m in evicted] == [(2.1, 1.9)]
-        assert set(members_values(archive)) == {(0.0, 4.0), (4.0, 0.0), (2.0, 2.0)}
+        # inside the pair, so the lower id 3, the candidate, stays and the
+        # older member with id 5 leaves
+        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
+        assert outcome.evicted_ids == (5,)
+        assert [m.id for m in archive.members()] == [0, 1, 3]
 
     def test_collinear_equidistant_ties_break_by_lowest_id_pair(self):
-        archive = RnArchive(10)
+        archive = RnArchive(3)
         counters = Counters()
-        for i, values in enumerate([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]):
-            archive.try_insert(sol(i, values), counters)
-        evicted = archive.cluster_truncate(2)
-        # pairs (0,1) and (1,2) tie at distance sqrt(2); the lowest-id pair
-        # (0,1) merges first and keeps id 0
-        assert [m.id for m in evicted] == [1]
-        assert set(members_values(archive)) == {(0.0, 2.0), (2.0, 0.0)}
-
-    def test_multi_merge_keeps_the_cluster_medoid(self):
-        archive = RnArchive(10)
-        counters = Counters()
-        points = [(0.0, 10.0), (0.2, 9.9), (0.4, 9.8), (10.0, 0.0)]
-        for i, values in enumerate(points):
-            archive.try_insert(sol(i, values), counters)
-        evicted = archive.cluster_truncate(2)
-        # the three left points agglomerate; the middle one has the smallest
-        # mean distance to its mates
-        assert {m.id for m in evicted} == {0, 2}
-        assert set(members_values(archive)) == {(0.2, 9.9), (10.0, 0.0)}
+        stream = [sol(1, (0.0, 3.0)), sol(2, (1.0, 2.0)), sol(3, (2.0, 1.0))]
+        for s in stream + [sol(0, (3.0, 0.0))]:
+            outcome, _ = archive.try_insert(s, counters)
+        # the neighbouring pairs, ids (1,2), (2,3) and (3,0), tie at distance
+        # sqrt(2); ordered by (lower id, higher id), (0,3) comes first and its
+        # higher id 3 leaves, although it is neither the first pair in member
+        # order nor the first by (higher id, lower id)
+        assert outcome.evicted_ids == (3,)
+        assert [m.id for m in archive.members()] == [1, 2, 0]
 
 
 @st.composite
@@ -164,30 +155,26 @@ def check_truncate_against_oracle(points, data):
     # ids permuted against member order, so id tie-breaks differ from a
     # row-major scan
     ids = data.draw(st.permutations(range(len(points))))
-    solutions = [sol(i, values) for i, values in zip(ids, points)]
-
-    def filled():
-        archive = RnArchive(len(solutions))
-        for s in solutions:
-            archive.try_insert(s, Counters())
-        return archive
-
-    members = filled().members()
+    archive = RnArchive(len(points))
+    for i, values in zip(ids, points):
+        archive.try_insert(sol(i, values), Counters())
+    members = archive.members()
+    assume(len(members) >= 2)
     by_id = {m.id: m for m in members}
-    for target in range(1, len(members)):
-        archive = filled()
-        departed = archive.cluster_truncate(target)
-        want_departed, want_kept = cluster_truncate_oracle(members, target)
-        assert [m.id for m in departed] == want_departed
-        assert [m.id for m in archive.members()] == want_kept
-        assert archive._objectives.tolist() == [
-            list(by_id[i].objectives.values) for i in want_kept
-        ]
+    # one overflow: capacity n - 1
+    archive.capacity = len(members) - 1
+    departed = archive.cluster_truncate()
+    want_departed, want_kept = cluster_truncate_oracle(members, archive.capacity)
+    assert [m.id for m in departed] == want_departed
+    assert [m.id for m in archive.members()] == want_kept
+    assert archive._objectives.tolist() == [
+        list(by_id[i].objectives.values) for i in want_kept
+    ]
 
 
 class TestClusterTruncateMatchesOracle:
-    """The numpy merge loop against the pair scan it replaced, for every
-    target from 1 to n - 1."""
+    """The one removal against the average-linkage pair scan, at an overflow
+    of one."""
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     @settings(max_examples=60, deadline=None)

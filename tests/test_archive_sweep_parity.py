@@ -120,6 +120,14 @@ def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
     # complexity_sweep's stream and schedule: every insertion past the first
     # `size` overflows the archive and truncates
     archive, oracle = RnArchive(size), OracleTruncateRn(size)
+    seen = []
+    truncate = archive.cluster_truncate
+
+    def recording_truncate():
+        seen.append(len(archive.members()))
+        return truncate()
+
+    archive.cluster_truncate = recording_truncate
     counters, oracle_counters = Counters(), Counters()
     rng = np.random.default_rng(size)
     ids = itertools.count()
@@ -135,3 +143,6 @@ def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
         truncated += len(archive.members()) == size and bool(got[0].departed)
     assert counters == oracle_counters
     assert truncated >= _MEASURED_MULTIPLE * size
+    # the store overflows by exactly one member at every truncation
+    assert len(seen) >= _MEASURED_MULTIPLE * size
+    assert set(seen) == {size + 1}

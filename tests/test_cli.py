@@ -98,6 +98,18 @@ class TestCmdRun:
             f"configuration error: archive grid_lower {bounds} on every axis\n"
         )
 
+    def test_oversized_lattice_exits_2_before_running(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "config.json", problem="lattice:101:0", max_evaluations=100
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: lattice:101:0 has 10201 points, above the "
+            "10000-point enumeration guard\n"
+        )
+        assert not out.exists()
+
     def test_override_flags_reach_the_run(self, tmp_path):
         config = sch_config(tmp_path)
         out = tmp_path / "out"

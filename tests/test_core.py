@@ -15,7 +15,12 @@ from moealab import (
     nondominated_filter,
     weak_relations,
 )
-from oracles import oracle_front_values, oracle_pairwise_nondominating, sol
+from oracles import (
+    oracle_front_indices,
+    oracle_front_values,
+    oracle_pairwise_nondominating,
+    sol,
+)
 
 
 def vec(*values):
@@ -137,6 +142,18 @@ class TestNondominatedFilter:
         assert oracle_pairwise_nondominating([s.objectives.values for s in kept])
         again = nondominated_filter(kept)
         assert [s.id for s in again] == [s.id for s in kept]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(2, 4))
+    def test_keeps_the_oracle_front_in_input_order(self, seed, count, m):
+        rng = np.random.default_rng(seed)
+        # few distinct coordinates, so equal points occur and both copies stay
+        values = [
+            tuple(float(x) for x in rng.integers(0, 4, size=m)) for _ in range(count)
+        ]
+        solutions = [sol(i, v) for i, v in enumerate(values)]
+        kept = nondominated_filter(solutions)
+        assert [s.id for s in kept] == oracle_front_indices(values)
 
     def test_membership_is_order_independent(self):
         rng = np.random.default_rng(11)

@@ -16,7 +16,7 @@ from moealab import (
     update_population,
 )
 from moealab import engine
-from moealab.archives import FeedbackSignal, RnArchive
+from moealab.archives import RnArchive
 from moealab.engine import DeteriorationTracker
 from oracles import (
     TrackerOracle,
@@ -113,6 +113,12 @@ class TestConfigValidation:
     def test_m_mismatch(self):
         with pytest.raises(ConfigError):
             small_config(m=3).validate()
+
+    def test_lattice_up_to_the_enumeration_guard(self):
+        # 100 x 100 is exactly the 10,000-point limit
+        assert RunConfig(problem="lattice:100:0").validate().id == "lattice:100:0"
+        with pytest.raises(ConfigError, match="10201 points"):
+            RunConfig(problem="lattice:101:0").validate()
 
     def test_preset_and_kind_must_agree(self):
         with pytest.raises(ConfigError):
@@ -217,7 +223,7 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.2, 0.2))
         state.population[4].objectives = ObjectiveVector((30.0, 30.0))
         child = self._child(state, (0.5, 0.5))  # dominates only member 4
-        update_population(state, child, FeedbackSignal(True, 0.0, 1))
+        update_population(state, child, True)
         assert state.population[4] is child
 
     def test_rejected_child_dominated_by_sampled_member_is_discarded(self):
@@ -226,7 +232,7 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.1, 0.1))
         before = list(state.population)
         child = self._child(state, (5.0, 5.0))
-        update_population(state, child, FeedbackSignal(False, 0.0, 1))
+        update_population(state, child, False)
         assert state.population == before
 
     def test_accepted_incomparable_child_swaps_exactly_one_member(self):
@@ -235,7 +241,7 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.0, 10.0))
         child = self._child(state, (1.0, 1.0))  # incomparable to every member
         before = list(state.population)
-        update_population(state, child, FeedbackSignal(True, 0.0, 1))
+        update_population(state, child, True)
         swapped = [i for i, (a, b) in enumerate(zip(before, state.population)) if a is not b]
         assert len(swapped) == 1
         assert state.population[swapped[0]] is child
@@ -245,7 +251,7 @@ class TestUpdatePopulation:
         for member in state.population:
             member.objectives = ObjectiveVector((5.0, 5.0))
         child = self._child(state, (0.5, 0.5))
-        update_population(state, child, FeedbackSignal(False, 0.0, 1))
+        update_population(state, child, False)
         assert child in state.population
 
 
