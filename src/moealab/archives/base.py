@@ -9,7 +9,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,13 +42,14 @@ class InsertOutcome:
     @classmethod
     def of(cls, kept: bool, departed: Sequence[Solution]) -> InsertOutcome:
         """The outcome of a call that kept the candidate or not and removed
-        `departed` from the store."""
-        if not kept:
-            status = InsertStatus.REJECTED
-        elif departed:
-            status = InsertStatus.ACCEPTED_REPLACING
-        else:
-            status = InsertStatus.ACCEPTED_NEW
+        `departed` from the store.
+
+        When nothing departed, one shared instance per verdict is returned:
+        outcomes are immutable, and most insertions remove nothing.
+        """
+        if not departed:
+            return _ACCEPTED_NEW if kept else _REJECTED
+        status = InsertStatus.ACCEPTED_REPLACING if kept else InsertStatus.REJECTED
         return cls(status, tuple(departed))
 
     @property
@@ -62,8 +63,11 @@ class InsertOutcome:
         return tuple(s.id for s in self.departed)
 
 
-@dataclass(frozen=True)
-class FeedbackSignal:
+_ACCEPTED_NEW = InsertOutcome(InsertStatus.ACCEPTED_NEW)
+_REJECTED = InsertOutcome(InsertStatus.REJECTED)
+
+
+class FeedbackSignal(NamedTuple):
     """The second half of what try_insert returns; nothing in the package
     reads it. accepted equals the outcome's; archive_size is the member count
     after the attempt. The class goes together with the tuple, once the
@@ -76,6 +80,11 @@ class FeedbackSignal:
 
 class Archive(ABC):
     """One archive instance is confined to a single run's engine thread."""
+
+    # True when no solution an insertion removes can dominate a member left
+    # after it; the deterioration tracker then skips testing the departures
+    # against the members
+    departures_dominate_no_member = False
 
     @abstractmethod
     def try_insert(
@@ -110,9 +119,16 @@ class NondominatedStore(Archive):
     """An archive whose members never weakly dominate one another, with their
     objectives kept as an (n, M) array whose row i is member i's objectives.
 
-    Every change of membership goes through _append and _retain, which keep
-    the list and the array in step.
+    Every change of membership goes through _append, _retain and _drop, which
+    keep the list and the array in step.
+
+    No departure can dominate a member left after the insertion. Members
+    never dominate one another, no member weakly dominates a candidate that
+    passed the sweep, and a candidate that departs after passing it had every
+    member it dominates removed first.
     """
+
+    departures_dominate_no_member = True
 
     def __init__(self) -> None:
         self._members: list[Solution] = []
@@ -162,3 +178,9 @@ class NondominatedStore(Archive):
             self._members = [m for m, k in zip(self._members, flags) if k]
             self._objectives = self._objectives[keep]
         return dropped
+
+    def _drop(self, index: int) -> Solution:
+        """Remove and return the member at `index`, with its row."""
+        rows = self._objectives
+        self._objectives = np.concatenate((rows[:index], rows[index + 1 :]))
+        return self._members.pop(index)

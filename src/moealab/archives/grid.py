@@ -10,8 +10,7 @@ proportional to the member count rather than the cell count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from ..core import Counters, ObjectiveVector, Solution
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
@@ -49,8 +48,10 @@ class GridSpec:
         return all(lo <= x <= hi for x, lo, hi in zip(v, self.lower, self.upper))
 
 
-@dataclass(frozen=True)
-class CellIndex:
+class CellIndex(NamedTuple):
+    """The coordinates of a grid cell. A tuple, so a dict hashes it in C and
+    cells order by their coordinates."""
+
     coords: tuple[int, ...]
 
 
@@ -99,7 +100,7 @@ class GridArchive(NondominatedStore):
             outcome = InsertOutcome.of(False, ())
             return outcome, FeedbackSignal(False, len(self._members))
 
-        departed = self._retain(~beaten)
+        departed = self._retain(~beaten) if beaten.any() else []
         for m in departed:
             self._vacate(m)
 
@@ -113,9 +114,10 @@ class GridArchive(NondominatedStore):
             # from a strictly less crowded cell of its own; else it is rejected
             if len(self._occupancy.get(cell, ())) < crowd:
                 victim_id = min(self._occupancy[crowded_cell])
-                (victim,) = self._retain(
-                    np.array([m.id != victim_id for m in self._members])
+                index = next(
+                    i for i, m in enumerate(self._members) if m.id == victim_id
                 )
+                victim = self._drop(index)
                 self._vacate(victim)
                 departed.append(victim)
         kept = len(self._members) < self.capacity
@@ -175,7 +177,6 @@ class GridArchive(NondominatedStore):
         member count."""
         crowd = max(map(len, self._occupancy.values()))
         crowded = min(
-            (cell for cell, ids in self._occupancy.items() if len(ids) == crowd),
-            key=lambda c: c.coords,
+            cell for cell, ids in self._occupancy.items() if len(ids) == crowd
         )
         return crowded, crowd

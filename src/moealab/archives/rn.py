@@ -32,7 +32,8 @@ class RnArchive(NondominatedStore):
         beaten = self._sweep(candidate, counters)
         departed: list[Solution] = []
         if beaten is not None:
-            departed = self._retain(~beaten)
+            if beaten.any():
+                departed = self._retain(~beaten)
             self._append(candidate)
             if len(self._members) > self.capacity:
                 departed += self.cluster_truncate()
@@ -56,14 +57,17 @@ class RnArchive(NondominatedStore):
             return []
         dist = pairwise_distances(self._objectives)
         np.fill_diagonal(dist, np.inf)
-        # dist is symmetric, so each tied pair shows up as (i, j) and (j, i),
-        # both with the same lower and higher id
-        rows, cols = np.nonzero(dist == dist.min())
-        ids = np.array([m.id for m in self._members])
-        lower = np.minimum(ids[rows], ids[cols])
-        higher = np.maximum(ids[rows], ids[cols])
-        victim = higher[lower == lower.min()].min()
-        return self._retain(ids != victim)
+        # dist is symmetric, so each tied pair shows up as (i, j) and (j, i);
+        # the hit whose row holds the higher id stands for the pair. A flat
+        # search costs a fraction of a two-dimensional nonzero()
+        ties = np.flatnonzero(dist == dist.min()).tolist()
+        members = self._members
+        _, _, victim = min(
+            (members[col].id, members[row].id, row)
+            for row, col in (divmod(hit, len(members)) for hit in ties)
+            if members[row].id > members[col].id
+        )
+        return [self._drop(victim)]
 
     def strength_fitness(
         self, population: Iterable[Solution], counters: Counters | None = None

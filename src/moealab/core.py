@@ -27,10 +27,10 @@ class ObjectiveVector:
     values: tuple[float, ...]
 
     def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         if len(vals) < 2:
             raise ValueError(f"need at least 2 objectives, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"objective values must be finite: {vals}")
         object.__setattr__(self, "values", vals)
 

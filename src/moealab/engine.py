@@ -219,18 +219,21 @@ class DeteriorationTracker:
         if newly_evicted:
             self._deteriorated.difference_update(s.id for s in newly_evicted)
             rows = [s.objectives.values for s in newly_evicted]
-            objectives = archive.member_objectives()
-            if len(objectives):
-                beaten = np.zeros(len(objectives), dtype=bool)
-                for values in rows:
-                    below, above = weak_relations(objectives, values)
-                    beaten |= above & ~below
-                if beaten.any():
-                    self._deteriorated.update(
-                        m.id
-                        for m, hit in zip(archive.members(), beaten.tolist())
-                        if hit
-                    )
+            # a store that declares no departure can dominate a member left
+            # (rn and grid do, gps does not) needs no test of them
+            if not archive.departures_dominate_no_member:
+                objectives = archive.member_objectives()
+                if len(objectives):
+                    beaten = np.zeros(len(objectives), dtype=bool)
+                    for values in rows:
+                        below, above = weak_relations(objectives, values)
+                        beaten |= above & ~below
+                    if beaten.any():
+                        self._deteriorated.update(
+                            m.id
+                            for m, hit in zip(archive.members(), beaten.tolist())
+                            if hit
+                        )
             self._remember(rows)
         if accepted and len(self._history):
             below, above = weak_relations(self._history, candidate.objectives.values)

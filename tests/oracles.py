@@ -13,9 +13,11 @@ import numpy as np
 
 from moealab import (
     Counters,
+    DegenerateDirectionError,
     DominanceRelation,
     GridArchive,
     ObjectiveVector,
+    RaySpec,
     RnArchive,
     Solution,
     VariationConfig,
@@ -107,6 +109,33 @@ class ScalarSweepGrid(GridArchive):
 
     def _sweep(self, candidate, counters):
         return scalar_sweep(self._members, candidate, counters)
+
+
+def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
+    """The angular bin coordinates of v's direction from the reference, by a
+    loop over the components: each offset is tested as it is taken, and each
+    angle sums its squares left to right in a generator. Raises what ray_of
+    raises below or at the reference."""
+    u = []
+    for x, r in zip(v, spec.reference):
+        delta = x - r
+        if delta < 0:
+            raise ValueError(
+                f"{v} is below the reference point {spec.reference} in some component"
+            )
+        u.append(delta)
+    if all(d == 0.0 for d in u):
+        raise DegenerateDirectionError(
+            f"{v} equals the reference point; direction undefined"
+        )
+    k_rays = spec.rays_per_axis
+    quarter = math.pi / 2.0
+    coords = []
+    for k in range(len(u) - 1):
+        rest = math.sqrt(sum(d * d for d in u[k + 1 :]))
+        angle = math.atan2(rest, u[k])
+        coords.append(min(int(angle / quarter * k_rays), k_rays - 1))
+    return tuple(coords)
 
 
 def cluster_truncate_oracle(

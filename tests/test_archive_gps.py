@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moealab import (
     Counters,
     DegenerateDirectionError,
+    DimensionMismatchError,
     GpsArchive,
     InsertStatus,
     ObjectiveVector,
+    RayIndex,
     RaySpec,
     ray_of,
 )
-from oracles import oracle_front_values, random_solutions, sol
+from oracles import oracle_front_values, random_solutions, ray_of_oracle, sol
 
 
 def spec_k(k=4, reference=(0.0, 0.0)):
@@ -37,6 +41,13 @@ class TestRayOf:
         with pytest.raises(ValueError):
             ray_of(ObjectiveVector((-0.1, 1.0)), spec_k())
 
+    def test_dimension_mismatch_raises(self):
+        vector = ObjectiveVector((1.0, 1.0, 1.0))
+        with pytest.raises(DimensionMismatchError):
+            ray_of(vector, spec_k())
+        with pytest.raises(DimensionMismatchError):
+            GpsArchive(spec_k()).try_insert(sol(0, vector.values), Counters())
+
     def test_counts_lookups_only(self):
         counters = Counters()
         ray_of(ObjectiveVector((1.0, 1.0)), spec_k(), counters)
@@ -54,6 +65,92 @@ class TestRayOf:
         a = ray_of(ObjectiveVector((0.3, 0.7)), spec)
         b = ray_of(ObjectiveVector((0.6, 1.4)), spec)
         assert a == b
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ray_cases(draw):
+    """A vector and a spec with M = 2-5 and a non-zero reference: each
+    component equals the reference's, lies above it, or lies anywhere (often
+    below it)."""
+    m = draw(st.integers(2, 5))
+    reference = draw(st.lists(finite, min_size=m, max_size=m))
+    values = []
+    for r in reference:
+        kind = draw(st.sampled_from(("equal", "above", "any")))
+        if kind == "equal":
+            values.append(r)
+        elif kind == "above":
+            values.append(draw(st.floats(r, r + 1e3, allow_nan=False)))
+        else:
+            values.append(draw(finite))
+    k = draw(st.integers(1, 4096))
+    return ObjectiveVector(values), RaySpec(ObjectiveVector(reference), k)
+
+
+def edge_case(u, k):
+    return ObjectiveVector(u), RaySpec(ObjectiveVector((0.0,) * len(u)), k)
+
+
+# offsets from a zero reference whose first angle sits on a bin edge: the
+# squares after offset 0 put their tiny terms last, so summed left to right
+# each is lost against the first, while summed right to left they add up to
+# enough to raise the root's last bit, which moves the angle into the next
+# bin
+SUMMATION_ORDER_EDGES = [
+    edge_case(
+        (0.14651959224254657, 1.5297257812686196, 1.4808607709550493e-08,
+         1.4060420498826408e-08, 1.3419749211463995e-08),
+        4096,
+    ),
+    edge_case((0.17776957525313922, 0.7788593988420766, 7.4394611176826766e-09,
+               7.2388769476386955e-09), 7),
+    edge_case(
+        (0.049864425893705815, 1.0150137069178968, 1.009811359062959e-08,
+         8.836830418361342e-09, 8.824351782923154e-09),
+        64,
+    ),
+]
+
+
+def first_bin(case, squares_in_order):
+    (u0, *rest), spec = case
+    root = math.sqrt(sum(squares_in_order([d * d for d in rest])))
+    k = spec.rays_per_axis
+    return min(int(math.atan2(root, u0) / (math.pi / 2.0) * k), k - 1)
+
+
+class TestRayOfMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(ray_cases())
+    @example(SUMMATION_ORDER_EDGES[0])
+    @example(SUMMATION_ORDER_EDGES[1])
+    @example(SUMMATION_ORDER_EDGES[2])
+    @example(edge_case((0.0, 0.0, 0.0), 8))
+    @example(edge_case((0.0, 2.0, 0.0, 0.0), 4096))
+    @example(edge_case((1.0, 0.0), 1))
+    def test_coords_and_errors_match_the_loop(self, case):
+        v, spec = case
+        try:
+            coords = ray_of_oracle(v, spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ray_of(v, spec)
+            assert type(raised.value) is type(exc)
+            return
+        index = ray_of(v, spec)
+        assert index.coords == coords
+        assert index == RayIndex(coords)
+
+    @pytest.mark.parametrize("case", SUMMATION_ORDER_EDGES)
+    def test_edges_tell_the_summation_orders_apart(self, case):
+        # the examples above can only catch a reordered sum if the two orders
+        # put the vector in different bins
+        left_to_right = first_bin(case, list)
+        assert left_to_right == ray_of_oracle(*case)[0]
+        assert first_bin(case, lambda squares: squares[::-1]) != left_to_right
 
 
 class TestGpsInsert:

@@ -2,7 +2,9 @@
 with core.weak_relations. Driven side by side with the same archives using a
 scalar compare() sweep, they must agree on every outcome, eviction, member
 order and counter, and the array must hold the members' objectives row for
-row after every insertion."""
+row after every insertion. On the same streams, no solution an insertion
+removes may dominate a member left after it: the property both stores
+declare, which lets the deterioration tracker skip that test."""
 
 import itertools
 
@@ -11,16 +13,24 @@ import pytest
 
 from moealab import (
     Counters,
+    GpsArchive,
     GridArchive,
     GridSpec,
     InsertStatus,
     ObjectiveVector,
+    RaySpec,
     RnArchive,
     Solution,
     dominates,
 )
 from moealab.metrics import _MEASURED_MULTIPLE, _incomparable_stream
-from oracles import OracleTruncateRn, ScalarSweepGrid, ScalarSweepRn, sol
+from oracles import (
+    OracleTruncateRn,
+    ScalarSweepGrid,
+    ScalarSweepRn,
+    random_solutions,
+    sol,
+)
 
 UNIT_SPEC = GridSpec(ObjectiveVector((0.0, 0.0)), ObjectiveVector((1.0, 1.0)), 4)
 
@@ -146,3 +156,46 @@ def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
     # the store overflows by exactly one member at every truncation
     assert len(seen) >= _MEASURED_MULTIPLE * size
     assert set(seen) == {size + 1}
+
+
+def strictly_better(a, b):
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def departures_dominating_members(archive, candidates):
+    """Over every insertion, the number of (departure, member left after it)
+    pairs in which the departure dominates the member, and the number of
+    departures."""
+    hits = departures = 0
+    for candidate in candidates:
+        outcome, _ = archive.try_insert(candidate, Counters())
+        departures += len(outcome.departed)
+        hits += sum(
+            strictly_better(d.objectives.values, m.objectives.values)
+            for d in outcome.departed
+            for m in archive.members()
+        )
+    return hits, departures
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("kind", sorted(ARCHIVES))
+def test_no_departure_dominates_a_member_left(kind, stream, seed):
+    make, _ = ARCHIVES[kind]
+    archive = make()
+    assert archive.departures_dominate_no_member
+    candidates = [sol(i, values) for i, values in enumerate(STREAMS[stream](seed, 300))]
+    hits, departures = departures_dominating_members(archive, candidates)
+    assert hits == 0
+    assert departures > 0
+
+
+def test_gps_departures_can_dominate_members():
+    # so gps declares nothing, and the tracker keeps testing its departures
+    archive = GpsArchive(RaySpec(ObjectiveVector((0.0, 0.0)), 16))
+    assert not archive.departures_dominate_no_member
+    hits, _ = departures_dominating_members(
+        archive, random_solutions(np.random.default_rng(0), 300)
+    )
+    assert hits > 0

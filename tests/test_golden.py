@@ -10,7 +10,7 @@ generational distance (compared by repr, so to the last bit).
 
 import pytest
 
-from moealab import ArchiveConfig, LocalSearchConfig, RunConfig, run
+from moealab import ArchiveConfig, LocalSearchConfig, RunConfig, complexity_sweep, run
 
 ZDT1_RN = dict(
     problem="zdt1",
@@ -169,3 +169,42 @@ def test_summary_matches_pinned_values(config, comparisons, front_size, deterior
     assert summary["deterioration_events"] == deteriorated
     assert repr(summary["metrics"]["gd"]) == gd
     assert summary["evaluations"] == config.max_evaluations
+
+
+# complexity_sweep at the sizes of the benchmark's archive-sweep workload, as
+# repr(report.to_dict()), so the slope and its interval are pinned to the last
+# bit. rn and grid charge exactly the size on this stream; gps's means depend
+# on which rays the stream fills, so they pin ray_of's binning
+SWEEP_GOLDEN = [
+    ("rn", (25, 50, 100), 0,
+     "{'archiver': 'rn', 'entries': [[25, 25.0], [50, 50.0], [100, 100.0]], "
+     "'cmp_slope': 1.0, 'slope_ci': [1.0, 1.0]}"),
+    ("rn", (25, 50, 100), 1,
+     "{'archiver': 'rn', 'entries': [[25, 25.0], [50, 50.0], [100, 100.0]], "
+     "'cmp_slope': 1.0, 'slope_ci': [1.0, 1.0]}"),
+    ("grid", (50, 100, 200), 0,
+     "{'archiver': 'grid', 'entries': [[50, 50.0], [100, 100.0], [200, 200.0]], "
+     "'cmp_slope': 1.0, 'slope_ci': [1.0, 1.0]}"),
+    ("grid", (50, 100, 200), 1,
+     "{'archiver': 'grid', 'entries': [[50, 50.0], [100, 100.0], [200, 200.0]], "
+     "'cmp_slope': 1.0, 'slope_ci': [1.0, 1.0]}"),
+    ("gps", (512, 1024, 2048, 4096), 0,
+     "{'archiver': 'gps', 'entries': [[512, 0.90869140625], [1024, 0.9072265625], "
+     "[2048, 0.908447265625], [4096, 0.9102783203125]], "
+     "'cmp_slope': 0.0009491747124382485, "
+     "'slope_ci': [-0.0027496209642603265, 0.004647970389136824]}"),
+    ("gps", (512, 1024, 2048, 4096), 1,
+     "{'archiver': 'gps', 'entries': [[512, 0.9130859375], [1024, 0.908935546875], "
+     "[2048, 0.9088134765625], [4096, 0.9088134765625]], "
+     "'cmp_slope': -0.0020493031298661007, "
+     "'slope_ci': [-0.006900576013821496, 0.0028019697540892954]}"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, sizes, seed, report",
+    SWEEP_GOLDEN,
+    ids=[f"{kind}-s{seed}" for kind, _, seed, _ in SWEEP_GOLDEN],
+)
+def test_sweep_report_matches_pinned_values(kind, sizes, seed, report):
+    assert repr(complexity_sweep(kind, sizes, seed).to_dict()) == report
