@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul, sub
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
@@ -85,18 +86,20 @@ class GpsArchive(Archive):
     def __init__(self, spec: RaySpec):
         self.spec = spec
         self._reference = spec.reference.values
-        self.incumbents: dict[RayIndex, Solution] = {}
+        # only try_insert writes these two, always together
+        self._incumbents: dict[RayIndex, Solution] = {}
         # each ray's distance to the reference, as recorded when its incumbent
         # was admitted
         self._admitted: dict[RayIndex, float] = {}
+        self.incumbents = MappingProxyType(self._incumbents)
         # replacements that did not strictly lower their ray's recorded distance
         self.monotonicity_violations = 0
 
     def members(self) -> list[Solution]:
-        return list(self.incumbents.values())
+        return list(self._incumbents.values())
 
     def occupied_rays(self) -> int:
-        return len(self.incumbents)
+        return len(self._incumbents)
 
     def distance_to_reference(self, solution: Solution) -> float:
         return solution.objectives.distance_to(self.spec.reference)
@@ -105,25 +108,23 @@ class GpsArchive(Archive):
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
         ray = ray_of(candidate.objectives, self.spec, counters)
-        incumbent = self.incumbents.get(ray)
+        incumbent = self._incumbents.get(ray)
         d_new = math.dist(candidate.objectives.values, self._reference)
         if incumbent is None:
-            self.incumbents[ray] = candidate
+            self._incumbents[ray] = candidate
             self._admitted[ray] = d_new
             outcome = InsertOutcome.of(True, ())
-            return outcome, FeedbackSignal(True, len(self.incumbents))
+            return outcome, FeedbackSignal(True, len(self._incumbents))
 
         # exactly one comparison: the incumbent of the candidate's own ray
         counters.dominance_comparisons += 1
         d_old = math.dist(incumbent.objectives.values, self._reference)
         if d_new < d_old:
-            # an incumbent placed without try_insert has no record: its own
-            # distance stands in
-            if not d_new < self._admitted.get(ray, d_old):
+            if not d_new < self._admitted[ray]:
                 self.monotonicity_violations += 1
-            self.incumbents[ray] = candidate
+            self._incumbents[ray] = candidate
             self._admitted[ray] = d_new
             outcome = InsertOutcome.of(True, (incumbent,))
-            return outcome, FeedbackSignal(True, len(self.incumbents))
+            return outcome, FeedbackSignal(True, len(self._incumbents))
         outcome = InsertOutcome.of(False, ())
-        return outcome, FeedbackSignal(False, len(self.incumbents))
+        return outcome, FeedbackSignal(False, len(self._incumbents))

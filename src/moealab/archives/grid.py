@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..core import Counters, ObjectiveVector, Solution
+from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
 
 
@@ -59,11 +59,15 @@ def cell_of(
     v: ObjectiveVector, spec: GridSpec, counters: Counters | None = None
 ) -> CellIndex:
     """Bin a vector into its grid cell: M floor divisions, cost independent of
-    the archive size. Raises OutOfBoundsError outside the bounds."""
-    if counters is not None:
-        counters.cell_lookups += 1
+    the archive size. Raises DimensionMismatchError or OutOfBoundsError, and
+    charges a lookup only when it raises neither."""
+    m = len(spec.lower.values)
+    if len(v.values) != m:
+        raise DimensionMismatchError(f"dimension mismatch: {len(v.values)} vs {m}")
     if not spec.contains(v):
         raise OutOfBoundsError(v, spec)
+    if counters is not None:
+        counters.cell_lookups += 1
     d = spec.divisions
     coords = []
     for x, lo, hi in zip(v, spec.lower, spec.upper):
@@ -104,9 +108,11 @@ class GridArchive(NondominatedStore):
         for m in departed:
             self._vacate(m)
 
-        if not self.spec.contains(candidate.objectives):
+        try:
+            cell = cell_of(candidate.objectives, self.spec, counters)
+        except OutOfBoundsError:
             self.adapt_bounds(candidate.objectives, counters)
-        cell = cell_of(candidate.objectives, self.spec, counters)
+            cell = cell_of(candidate.objectives, self.spec, counters)
 
         if len(self._members) >= self.capacity:
             crowded_cell, crowd = self._most_occupied()

@@ -29,12 +29,7 @@ from .engine import (
     run,
 )
 from .metrics import complexity_sweep, coverage
-from .problems import (
-    LATTICE_POINT_LIMIT,
-    brute_force_front,
-    evaluate,
-    get_problem,
-)
+from .problems import UnknownProblemError, brute_force_front, evaluate, get_problem
 
 # the RunConfig fields a compare variant may set over the shared base; every
 # variant names its own archive, and only a variant may set archive or preset
@@ -158,7 +153,7 @@ def _write_front_csv(path: Path, result: RunResult) -> None:
 
 
 def _write_stats_jsonl(path: Path, result: RunResult) -> None:
-    lines = [json.dumps(st.to_dict(), sort_keys=True) for st in result.stats]
+    lines = [json.dumps(asdict(st), sort_keys=True) for st in result.stats]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -297,8 +292,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sizes must all be >= 1, got {args.sizes!r}")
     if len(set(sizes)) < 2:
         raise ConfigError(f"sweep needs at least 2 distinct sizes, got {args.sizes!r}")
-    if args.archiver not in ARCHIVE_KINDS:
-        raise ConfigError(f"unknown archiver {args.archiver!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = complexity_sweep(args.archiver, sizes, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,14 +312,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if args.k * args.k > LATTICE_POINT_LIMIT:
-        raise ConfigError(
-            f"k={args.k} gives {args.k * args.k} points, above the "
-            f"{LATTICE_POINT_LIMIT}-point enumeration guard"
-        )
-    problem = get_problem(f"lattice:{args.k}:{args.seed}")
+    try:
+        problem = get_problem(f"lattice:{args.k}:{args.seed}")
+    except UnknownProblemError as exc:
+        raise ConfigError(str(exc)) from exc
     oracle = {v.values for v in brute_force_front(problem)}
     failures = 0
     for kind in ARCHIVE_KINDS:

@@ -39,7 +39,6 @@ from .generator import (
 )
 from .metrics import generational_distance, spacing
 from .problems import (
-    LATTICE_POINT_LIMIT,
     ProblemSpec,
     UnknownProblemError,
     brute_force_front,
@@ -106,19 +105,13 @@ class RunConfig:
             problem = get_problem(self.problem)
         except UnknownProblemError as exc:
             raise ConfigError(str(exc)) from exc
-        if problem.table is not None:
-            # the metrics enumerate every point for the true front
-            points = problem.table.shape[0] * problem.table.shape[1]
-            if points > LATTICE_POINT_LIMIT:
-                raise ConfigError(
-                    f"{problem.id} has {points} points, above the "
-                    f"{LATTICE_POINT_LIMIT}-point enumeration guard"
-                )
         self.archive.validate()
         if self.m is not None and self.m != problem.m:
             raise ConfigError(
                 f"configured m={self.m} but problem {problem.id} has m={problem.m}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:
@@ -165,16 +158,6 @@ class GenerationStats:
     accepted_count: int
     deterioration_events: int
     metrics: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "evaluations_done": self.evaluations_done,
-            "archive_size": self.archive_size,
-            "accepted_count": self.accepted_count,
-            "deterioration_events": self.deterioration_events,
-            "metrics": dict(self.metrics),
-        }
 
 
 class DeteriorationTracker:
@@ -425,6 +408,13 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
     if config.metrics_every is not None:
         if evals_before // config.metrics_every < state.counters.evaluations // config.metrics_every:
             metrics = compute_metrics(state)
+    return _generation_stats(state, accepted_count, metrics)
+
+
+def _generation_stats(
+    state: RunState, accepted_count: int, metrics: dict[str, float]
+) -> GenerationStats:
+    """The record of the generation that just ended."""
     return GenerationStats(
         generation=state.generation,
         evaluations_done=state.counters.evaluations,
@@ -438,15 +428,9 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
 def run(config: RunConfig) -> RunResult:
     """Execute a full run; (config, seed) determines every output."""
     state = initialize(config)
-    stats = [
-        GenerationStats(
-            generation=0,
-            evaluations_done=state.counters.evaluations,
-            archive_size=len(state.archive.members()),
-            accepted_count=len(state.archive.members()),
-            deterioration_events=state.tracker.count(),
-        )
-    ]
+    # generation 0 is the initial population; every member it left in the
+    # archive counts as accepted
+    stats = [_generation_stats(state, len(state.archive.members()), {})]
     while state.counters.evaluations < config.max_evaluations:
         stats.append(step(state, config))
     front = state.archive.finalize()

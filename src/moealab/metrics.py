@@ -95,6 +95,9 @@ class ComplexityReport:
 
 
 def _sweep_archive(kind: str, size: int) -> Archive:
+    """The archive complexity_sweep measures at one size. Not build_archive:
+    the sweep has no problem to take m or an objective floor from, gps's ray
+    count is the swept size, and the benchmark harness swaps this by name."""
     if kind == "rn":
         return RnArchive(size)
     if kind == "grid":

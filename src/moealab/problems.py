@@ -165,8 +165,17 @@ def _zdt2() -> ProblemSpec:
 
 
 def _lattice(k: int, seed: int) -> ProblemSpec:
+    # refused before the table is drawn, so an oversized k costs no memory;
+    # the metrics and the oracle enumerate every point
     if k < 1:
         raise UnknownProblemError(f"lattice size must be >= 1, got {k}")
+    if k * k > LATTICE_POINT_LIMIT:
+        raise UnknownProblemError(
+            f"lattice:{k}:{seed} has {k * k} points, above the "
+            f"{LATTICE_POINT_LIMIT}-point enumeration guard"
+        )
+    if seed < 0:
+        raise UnknownProblemError(f"lattice seed must be >= 0, got {seed}")
     table = np.random.default_rng(seed).random((k, k, 2))
 
     def evaluator(genome: tuple[float, ...]) -> tuple[float, ...]:

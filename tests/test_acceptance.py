@@ -138,9 +138,8 @@ def test_acceptance_4_local_dominance():
         archives = (GpsArchive(spec), GpsArchive(spec))
         if rng.random() < 0.7:
             incumbent = sol(500, tuple(float(x) for x in rng.random(2) + 1e-3))
-            incumbent_ray = ray_of(incumbent.objectives, spec)
             for archive in archives:
-                archive.incumbents[incumbent_ray] = incumbent
+                archive.try_insert(incumbent, Counters())
         # now populate the other rays differently in each archive
         for archive, count in zip(archives, (4, 9)):
             placed = 0
@@ -152,7 +151,7 @@ def test_acceptance_4_local_dominance():
                 )
                 extra_ray = ray_of(extra.objectives, spec)
                 if extra_ray != candidate_ray and extra_ray not in archive.incumbents:
-                    archive.incumbents[extra_ray] = extra
+                    archive.try_insert(extra, Counters())
                     placed += 1
         out_a, _ = archives[0].try_insert(
             Solution(candidate.id, candidate.genome, candidate.objectives), Counters()

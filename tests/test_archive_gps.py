@@ -222,11 +222,11 @@ class TestGpsFinalize:
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 1.0)), counters)
         archive.try_insert(sol(1, (2.0, 0.1)), counters)
-        dominated = sol(2, (2.0, 2.0))
-        # plant a dominated incumbent on an unused ray
-        archive.incumbents[ray_of(ObjectiveVector((0.05, 2.0)), archive.spec)] = dominated
+        # dominated by (1.0, 1.0), and alone on its own ray, so it is admitted
+        outcome, _ = archive.try_insert(sol(2, (1.1, 3.0)), counters)
+        assert outcome.status is InsertStatus.ACCEPTED_NEW
         final = {m.objectives.values for m in archive.finalize()}
-        assert (2.0, 2.0) not in final
+        assert (1.1, 3.0) not in final
         assert (1.0, 1.0) in final
 
     def test_mutually_incomparable_incumbents_unchanged(self):
@@ -284,6 +284,16 @@ class TestGpsInvariants:
         assert replaced > 0
         assert archive.monotonicity_violations == 0
 
+    def test_incumbents_are_read_only(self):
+        archive = GpsArchive(spec_k())
+        archive.try_insert(sol(0, (1.0, 1.0)), Counters())
+        ray = ray_of(ObjectiveVector((1.0, 1.0)), archive.spec)
+        with pytest.raises(TypeError):
+            archive.incumbents[ray] = sol(1, (0.5, 0.5))
+        with pytest.raises(TypeError):
+            del archive.incumbents[ray]
+        assert [m.id for m in archive.incumbents.values()] == [0]
+
     def test_tripwire_counts_a_replacement_above_the_recorded_distance(self):
         archive = GpsArchive(spec_k())
         counters = Counters()
@@ -332,16 +342,15 @@ class TestGpsInvariants:
             if rng.random() < 0.7:
                 incumbent_values = tuple(float(x) for x in rng.random(2) + 0.01)
                 incumbent = sol(500, incumbent_values)
-                incumbent_ray = ray_of(incumbent.objectives, spec)
-                a.incumbents[incumbent_ray] = incumbent
-                b.incumbents[incumbent_ray] = incumbent
+                a.try_insert(incumbent, Counters())
+                b.try_insert(incumbent, Counters())
             for archive, n_extra in ((a, 5), (b, 11)):
                 added = 0
                 while added < n_extra:
                     extra = sol(2000 + added, tuple(float(x) for x in rng.random(2) + 0.01))
                     extra_ray = ray_of(extra.objectives, spec)
                     if extra_ray != ray and extra_ray not in archive.incumbents:
-                        archive.incumbents[extra_ray] = extra
+                        archive.try_insert(extra, Counters())
                         added += 1
             out_a, _ = a.try_insert(candidate, Counters())
             out_b, _ = b.try_insert(candidate, Counters())

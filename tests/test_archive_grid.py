@@ -4,12 +4,14 @@ import pytest
 from moealab import (
     CellIndex,
     Counters,
+    DimensionMismatchError,
     GridArchive,
     GridSpec,
     InsertStatus,
     ObjectiveVector,
     OutOfBoundsError,
     cell_of,
+    complexity_sweep,
 )
 from oracles import (
     members_values,
@@ -58,6 +60,14 @@ class TestCellOf:
     def test_out_of_bounds_signals(self):
         with pytest.raises(OutOfBoundsError):
             cell_of(ObjectiveVector((1.5, 0.5)), unit_spec())
+
+    @pytest.mark.parametrize("values", [(0.5, 0.5, 9.0), (1.5, 0.5, 0.5)])
+    def test_wrong_dimension_signals_uncharged(self, values):
+        # zip would bin the leading components, in bounds or not
+        counters = Counters()
+        with pytest.raises(DimensionMismatchError):
+            cell_of(ObjectiveVector(values), unit_spec(), counters)
+        assert counters.cell_lookups == 0
 
     def test_counts_lookups_not_comparisons(self):
         counters = Counters()
@@ -174,6 +184,30 @@ class TestGridInsert:
         outcome, _ = archive.try_insert(sol(1, (1.4, 0.3)), counters)
         assert outcome.status is InsertStatus.ACCEPTED_NEW
         assert archive.spec.contains(ObjectiveVector((1.4, 0.3)))
+
+    def test_wrong_dimension_candidate_leaves_an_empty_archive_empty(self):
+        archive = GridArchive(5, unit_spec())
+        counters = Counters()
+        with pytest.raises(DimensionMismatchError):
+            archive.try_insert(sol(0, (0.5, 0.5, 9.0)), counters)
+        assert archive.members() == []
+        assert archive.cell_occupancy() == {}
+        outcome, _ = archive.try_insert(sol(1, (0.3, 0.7)), counters)
+        assert outcome.status is InsertStatus.ACCEPTED_NEW
+
+    def test_in_bounds_insertion_tests_the_bounds_once(self, monkeypatch):
+        calls = 0
+        contains = GridSpec.contains
+
+        def counting(spec, v):
+            nonlocal calls
+            calls += 1
+            return contains(spec, v)
+
+        monkeypatch.setattr(GridSpec, "contains", counting)
+        # 5 * (50 + 100 + 200) insertions, all inside the sweep's unit square
+        complexity_sweep("grid", (50, 100, 200))
+        assert calls == 1750
 
 
 def most_occupied_by_sorted_scan(occupancy):

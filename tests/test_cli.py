@@ -269,6 +269,72 @@ class TestCmdCompare:
         assert "variants[0].name must be str, got int 1" in capsys.readouterr().err
 
 
+_GUARD = "above the 10000-point enumeration guard"
+
+
+class TestBadInputExits2:
+    """Every bad input exits 2 with one configuration-error line, before
+    anything is written."""
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            # lattice:101:0 is TestCmdRun::test_oversized_lattice_exits_2_before_running
+            ("lattice:0:0", "lattice size must be >= 1, got 0"),
+            ("lattice:1000000:0", f"lattice:1000000:0 has 1000000000000 points, {_GUARD}"),
+            ("lattice:5:-1", "lattice seed must be >= 0, got -1"),
+        ],
+    )
+    def test_run_bad_lattice(self, tmp_path, capsys, problem, message):
+        config = sch_config(tmp_path, problem=problem, max_evaluations=100)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_run_negative_seed(self, tmp_path, capsys):
+        config = sch_config(tmp_path, seed=-1)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_compare_negative_seed(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "compare.json",
+            problem="lattice:12:3",
+            population_size=10,
+            max_evaluations=300,
+            seed=-1,
+            variants=[{"archive": {"kind": "rn"}}, {"archive": {"kind": "gps"}}],
+        )
+        out = tmp_path / "o"
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_sweep_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["sweep", "--archiver", "gps", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "lattice size must be >= 1, got 0"),
+            (["--k", "101"], f"lattice:101:0 has 10201 points, {_GUARD}"),
+            (["--k", "5", "--seed", "-1"], "lattice seed must be >= 0, got -1"),
+        ],
+    )
+    def test_oracle_check_bad_lattice(self, capsys, flags, message):
+        assert main(["oracle-check", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
+
 class TestConfigLoader:
     @pytest.mark.parametrize(
         "config",

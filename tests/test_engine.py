@@ -15,7 +15,7 @@ from moealab import (
     step,
     update_population,
 )
-from moealab import engine
+from moealab import cli, engine
 from moealab.archives import RnArchive
 from moealab.engine import DeteriorationTracker
 from oracles import (
@@ -122,6 +122,10 @@ class TestConfigValidation:
         assert RunConfig(problem="lattice:100:0").validate().id == "lattice:100:0"
         with pytest.raises(ConfigError, match="10201 points"):
             RunConfig(problem="lattice:101:0").validate()
+
+    def test_lattice_guard_lives_in_the_problem_registry_only(self):
+        assert not hasattr(engine, "LATTICE_POINT_LIMIT")
+        assert not hasattr(cli, "LATTICE_POINT_LIMIT")
 
     def test_preset_and_kind_must_agree(self):
         with pytest.raises(ConfigError):
@@ -292,7 +296,7 @@ class TestRun:
             local_search=LocalSearchConfig(enabled=True, steps=2, step_scale=0.05),
         )
         a, b = run(config), run(config)
-        assert [s.to_dict() for s in a.stats] == [s.to_dict() for s in b.stats]
+        assert a.stats == b.stats
         assert [(s.id, s.genome, s.objectives.values) for s in a.front] == [
             (s.id, s.genome, s.objectives.values) for s in b.front
         ]

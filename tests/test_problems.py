@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moealab import (
+    ProblemSpec,
     UnknownProblemError,
     brute_force_front,
     evaluate,
@@ -26,6 +27,33 @@ class TestRegistry:
             get_problem("lattice:5")
         with pytest.raises(UnknownProblemError):
             get_problem("lattice:a:b")
+
+    @pytest.mark.parametrize(
+        "problem_id, message",
+        [
+            ("lattice:0:0", "lattice size must be >= 1, got 0"),
+            (
+                "lattice:101:0",
+                "lattice:101:0 has 10201 points, above the 10000-point enumeration guard",
+            ),
+            (
+                "lattice:1000000:0",
+                "lattice:1000000:0 has 1000000000000 points, above the "
+                "10000-point enumeration guard",
+            ),
+            ("lattice:5:-1", "lattice seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_lattice_refused_before_the_table_is_drawn(
+        self, monkeypatch, problem_id, message
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the lattice table was drawn before the guard")
+
+        monkeypatch.setattr("moealab.problems.np.random.default_rng", no_draw)
+        with pytest.raises(UnknownProblemError) as excinfo:
+            get_problem(problem_id)
+        assert str(excinfo.value) == message
 
 
 class TestEvaluate:
@@ -111,8 +139,17 @@ class TestBruteForceFront:
         assert front == {(1.0, 1.0)}
 
     def test_size_guard(self):
-        problem = get_problem("lattice:101:0")
-        with pytest.raises(ValueError):
+        # get_problem refuses this size, so the oracle's own guard is tested
+        # on a hand-built problem
+        problem = ProblemSpec(
+            id="lattice:101:0",
+            n_var=2,
+            bounds=((0.0, 100.0), (0.0, 100.0)),
+            m=2,
+            evaluator=lambda genome: (0.0, 0.0),
+            table=np.zeros((101, 101, 2)),
+        )
+        with pytest.raises(ValueError, match="10201 points"):
             brute_force_front(problem)
 
     def test_non_lattice_problem_refused(self):
