@@ -1,9 +1,4 @@
-from .base import (
-    Archive,
-    FeedbackSignal,
-    InsertOutcome,
-    InsertStatus,
-)
+from .base import Archive, FeedbackSignal, InsertOutcome
 from .gps import DegenerateDirectionError, GpsArchive, RayIndex, RaySpec, ray_of
 from .grid import CellIndex, GridArchive, GridSpec, OutOfBoundsError, cell_of
 from .rn import RnArchive
@@ -17,7 +12,6 @@ __all__ = [
     "GridArchive",
     "GridSpec",
     "InsertOutcome",
-    "InsertStatus",
     "OutOfBoundsError",
     "RayIndex",
     "RaySpec",

@@ -7,8 +7,6 @@ membership changed (the outcome), so the engine can stay archiver-agnostic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -16,27 +14,18 @@ import numpy as np
 from ..core import Counters, Solution, nondominated_filter, weak_relations
 
 
-class InsertStatus(Enum):
-    ACCEPTED_NEW = "accepted_new"
-    ACCEPTED_REPLACING = "accepted_replacing"
-    REJECTED = "rejected"
-
-
-@dataclass(frozen=True)
-class InsertOutcome:
+class InsertOutcome(NamedTuple):
     """Result of one insertion attempt.
 
-    departed holds every solution that left the store during the call, in the
-    order it left: members the candidate dominated or displaced, and an rn
-    candidate that was admitted and then truncated away in the same call. The
-    archive keeps none of them; this is the only record of an eviction.
-
-    evicted_ids lists only solutions that were members before the call; a
-    candidate that is accepted and immediately truncated away nets out to
-    REJECTED with no evictions reported, though it is in departed.
+    accepted says whether the candidate is a member after the call. departed
+    holds every solution that left the store during the call, in the order it
+    left: members the candidate dominated or displaced, and an rn candidate
+    that was admitted and then truncated away in the same call (accepted is
+    then False). The archive keeps none of them; this is the only record of
+    an eviction.
     """
 
-    status: InsertStatus
+    accepted: bool
     departed: tuple[Solution, ...] = ()
 
     @classmethod
@@ -48,23 +37,12 @@ class InsertOutcome:
         outcomes are immutable, and most insertions remove nothing.
         """
         if not departed:
-            return _ACCEPTED_NEW if kept else _REJECTED
-        status = InsertStatus.ACCEPTED_REPLACING if kept else InsertStatus.REJECTED
-        return cls(status, tuple(departed))
-
-    @property
-    def accepted(self) -> bool:
-        return self.status is not InsertStatus.REJECTED
-
-    @property
-    def evicted_ids(self) -> tuple[int, ...]:
-        if not self.accepted:
-            return ()
-        return tuple(s.id for s in self.departed)
+            return _ACCEPTED if kept else _REJECTED
+        return cls(kept, tuple(departed))
 
 
-_ACCEPTED_NEW = InsertOutcome(InsertStatus.ACCEPTED_NEW)
-_REJECTED = InsertOutcome(InsertStatus.REJECTED)
+_ACCEPTED = InsertOutcome(True)
+_REJECTED = InsertOutcome(False)
 
 
 class FeedbackSignal(NamedTuple):
@@ -96,16 +74,6 @@ class Archive(ABC):
     def members(self) -> list[Solution]:
         """Snapshot of current members; callers own the returned list."""
 
-    def member_objectives(self) -> np.ndarray:
-        """The members' objectives as an (n, M) array, row i for members()[i].
-
-        Read-only: a store may hand out the array it keeps. Without members
-        the array is empty and its column count is unspecified.
-        """
-        objectives = np.array([s.objectives.values for s in self.members()], dtype=float)
-        objectives.flags.writeable = False
-        return objectives
-
     def finalize(self) -> list[Solution]:
         """Pareto filter of the members, applied after the run terminates.
 
@@ -136,11 +104,6 @@ class NondominatedStore(Archive):
 
     def members(self) -> list[Solution]:
         return list(self._members)
-
-    def member_objectives(self) -> np.ndarray:
-        view = self._objectives.view()
-        view.flags.writeable = False
-        return view
 
     def _sweep(self, candidate: Solution, counters: Counters) -> np.ndarray | None:
         """Test the candidate against every member: None when some member

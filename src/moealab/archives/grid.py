@@ -45,6 +45,10 @@ class GridSpec:
             raise ValueError(f"divisions must be >= 1, got {self.divisions}")
 
     def contains(self, v: ObjectiveVector) -> bool:
+        """Raises DimensionMismatchError on a vector of another dimension."""
+        m = len(self.lower.values)
+        if len(v.values) != m:
+            raise DimensionMismatchError(f"dimension mismatch: {len(v.values)} vs {m}")
         return all(lo <= x <= hi for x, lo, hi in zip(v, self.lower, self.upper))
 
 
@@ -61,9 +65,6 @@ def cell_of(
     """Bin a vector into its grid cell: M floor divisions, cost independent of
     the archive size. Raises DimensionMismatchError or OutOfBoundsError, and
     charges a lookup only when it raises neither."""
-    m = len(spec.lower.values)
-    if len(v.values) != m:
-        raise DimensionMismatchError(f"dimension mismatch: {len(v.values)} vs {m}")
     if not spec.contains(v):
         raise OutOfBoundsError(v, spec)
     if counters is not None:
@@ -139,7 +140,8 @@ class GridArchive(NondominatedStore):
         """Grow the bounds to the envelope of all members plus v, inflated by
         `inflation` of each range, then re-bin every member.
 
-        No-op when v is already inside the bounds.
+        No-op when v is already inside the bounds; GridSpec.contains refuses
+        a vector of another dimension.
         """
         if self.spec.contains(v):
             return self.spec

@@ -41,6 +41,13 @@ def _describe(value: object) -> str:
     return "null" if value is None else f"{type(value).__name__} {value!r}"
 
 
+def _finite(value: int | float, path: str) -> int | float:
+    # json reads NaN, Infinity and 1e400 (as inf); an int compares exactly
+    if abs(value) <= sys.float_info.max:
+        return value
+    raise ConfigError(f"{path} must be finite, got {_describe(value)}")
+
+
 def _load(cls: type, data: object, path: str):
     """Build the config dataclass `cls` from a parsed JSON object.
 
@@ -69,8 +76,8 @@ def _load(cls: type, data: object, path: str):
 
 def _value(hint: object, value: object, path: str) -> object:
     """Type-check one JSON value against a field's type hint. A bool is
-    not a number here, and an int passes unchanged as a float, so asdict
-    writes the number back as it was given."""
+    not a number here, a number must be finite, and an int passes unchanged
+    as a float, so asdict writes the number back as it was given."""
     if dataclasses.is_dataclass(hint):
         return _load(hint, value, path)
     optional = typing.get_origin(hint) is types.UnionType
@@ -81,11 +88,11 @@ def _value(hint: object, value: object, path: str) -> object:
     if typing.get_origin(hint) is tuple:  # tuple[float, ...]
         expected = "a list of numbers"
         if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-            return tuple(float(v) for v in value)
+            return tuple(float(_finite(v, path)) for v in value)
     elif hint is float:
         expected = "float"
         if type(value) in (int, float):
-            return value
+            return _finite(value, path)
     elif hint in (int, bool, str):
         expected = hint.__name__
         if type(value) is hint:
@@ -121,7 +128,7 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root in {path} must be an object")

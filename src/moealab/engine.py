@@ -205,17 +205,18 @@ class DeteriorationTracker:
             # a store that declares no departure can dominate a member left
             # (rn and grid do, gps does not) needs no test of them
             if not archive.departures_dominate_no_member:
-                objectives = archive.member_objectives()
-                if len(objectives):
-                    beaten = np.zeros(len(objectives), dtype=bool)
+                members = archive.members()
+                if members:
+                    objectives = np.array(
+                        [m.objectives.values for m in members], dtype=float
+                    )
+                    beaten = np.zeros(len(members), dtype=bool)
                     for values in rows:
                         below, above = weak_relations(objectives, values)
                         beaten |= above & ~below
                     if beaten.any():
                         self._deteriorated.update(
-                            m.id
-                            for m, hit in zip(archive.members(), beaten.tolist())
-                            if hit
+                            m.id for m, hit in zip(members, beaten.tolist()) if hit
                         )
             self._remember(rows)
         if accepted and len(self._history):

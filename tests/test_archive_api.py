@@ -8,7 +8,6 @@ from moealab import (
     GpsArchive,
     GridArchive,
     GridSpec,
-    InsertStatus,
     ObjectiveVector,
     RaySpec,
     RnArchive,
@@ -39,7 +38,7 @@ ALL_KINDS = ("rn", "grid", "gps")
 def test_empty_archive_accepts_any_candidate(kind):
     archive = make_archive(kind)
     outcome, feedback = archive.try_insert(sol(0, (0.4, 0.6)), Counters())
-    assert outcome.status is InsertStatus.ACCEPTED_NEW
+    assert outcome.accepted and not outcome.departed
     assert feedback.accepted
     assert feedback.archive_size == 1
     assert [s.id for s in archive.members()] == [0]
@@ -54,17 +53,18 @@ def test_members_returns_a_snapshot(kind):
     assert len(archive.members()) == 1
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_member_objectives_follow_members_and_are_read_only(kind):
+@pytest.mark.parametrize("kind", ("rn", "grid"))
+def test_store_objectives_follow_members(kind):
+    """A NondominatedStore's array row i is members()[i]'s objectives after
+    every insertion."""
     archive = make_archive(kind)
-    assert len(archive.member_objectives()) == 0
+    assert len(archive._objectives) == 0
     counters = Counters()
     for s in tradeoff_solutions(np.random.default_rng(7), 80):
         archive.try_insert(s, counters)
-        objectives = archive.member_objectives()
-        assert objectives.tolist() == [list(m.objectives.values) for m in archive.members()]
-        with pytest.raises(ValueError):
-            objectives[0, 0] = -1.0
+        assert archive._objectives.tolist() == [
+            list(m.objectives.values) for m in archive.members()
+        ]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -81,10 +81,10 @@ def test_rn_overflow_on_planted_points_evicts_exactly_one_prior_member():
     counters = Counters()
     for s in [sol(0, (0.0, 10.0)), sol(1, (1.0, 9.5)), sol(2, (5.0, 5.0))]:
         outcome, _ = archive.try_insert(s, counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
     outcome, feedback = archive.try_insert(sol(4, (7.0, 4.65)), counters)
-    assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-    assert outcome.evicted_ids == (1,)
+    assert outcome.accepted
+    assert [d.id for d in outcome.departed] == [1]
     assert feedback.archive_size == 3
 
 
@@ -93,7 +93,8 @@ def test_grid_equal_candidate_in_same_cell_is_rejected():
     counters = Counters()
     archive.try_insert(sol(0, (0.4, 0.6)), counters)
     outcome, feedback = archive.try_insert(sol(1, (0.4, 0.6)), counters)
-    assert outcome.status is InsertStatus.REJECTED
+    assert not outcome.accepted
+    assert outcome.departed == ()
     assert not feedback.accepted
     assert [s.id for s in archive.members()] == [0]
 
@@ -134,18 +135,17 @@ def test_outcome_stream_contract_on_random_streams(kind, seed):
         assert counters.cell_lookups >= before[1]  # counters only ever grow
 
         prior_ids = set(shadow)
-        assert set(outcome.evicted_ids) <= prior_ids
-        # departed holds what evicted_ids names, plus at most the candidate
-        # itself when it was admitted and truncated away in the same call
+        # departed holds prior members, plus at most the candidate itself
+        # when it was admitted and truncated away in the same call
         departed_ids = [d.id for d in outcome.departed]
         assert set(departed_ids) <= prior_ids | {s.id}
         assert len(departed_ids) == len(set(departed_ids))
-        for evicted in outcome.evicted_ids:
-            del shadow[evicted]
         if outcome.accepted:
+            assert set(departed_ids) <= prior_ids
+            for evicted in departed_ids:
+                del shadow[evicted]
             shadow[s.id] = s.objectives.values
         else:
-            assert outcome.evicted_ids == ()
             assert departed_ids in ([], [s.id])
 
         members = archive.members()

@@ -10,7 +10,6 @@ from moealab import (
     DegenerateDirectionError,
     DimensionMismatchError,
     GpsArchive,
-    InsertStatus,
     ObjectiveVector,
     RayIndex,
     RaySpec,
@@ -157,15 +156,15 @@ class TestGpsInsert:
     def test_vacant_ray_accepts(self):
         archive = GpsArchive(spec_k())
         outcome, _ = archive.try_insert(sol(0, (1.0, 1.0)), Counters())
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
 
     def test_closer_candidate_replaces_incumbent(self):
         archive = GpsArchive(spec_k())
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 1.0)), counters)
         outcome, _ = archive.try_insert(sol(1, (0.5, 0.5)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-        assert outcome.evicted_ids == (0,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
         assert [m.id for m in archive.members()] == [1]
 
     def test_same_bin_norm_comparison(self):
@@ -177,7 +176,8 @@ class TestGpsInsert:
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 0.0)), counters)
         outcome, _ = archive.try_insert(sol(1, (0.9, 0.05)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
         assert math.dist((0.9, 0.05), (0.0, 0.0)) < 1.0
 
     def test_farther_candidate_rejected(self):
@@ -185,14 +185,16 @@ class TestGpsInsert:
         counters = Counters()
         archive.try_insert(sol(0, (0.5, 0.5)), counters)
         outcome, _ = archive.try_insert(sol(1, (1.0, 1.0)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
+        assert outcome.departed == ()
 
     def test_equal_norm_keeps_incumbent(self):
         archive = GpsArchive(spec_k())
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 1.0)), counters)
         outcome, _ = archive.try_insert(sol(1, (1.0, 1.0)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
+        assert outcome.departed == ()
         assert [m.id for m in archive.members()] == [0]
 
     def test_at_most_one_comparison_per_insert(self):
@@ -224,7 +226,7 @@ class TestGpsFinalize:
         archive.try_insert(sol(1, (2.0, 0.1)), counters)
         # dominated by (1.0, 1.0), and alone on its own ray, so it is admitted
         outcome, _ = archive.try_insert(sol(2, (1.1, 3.0)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
         final = {m.objectives.values for m in archive.finalize()}
         assert (1.1, 3.0) not in final
         assert (1.0, 1.0) in final
@@ -280,7 +282,7 @@ class TestGpsInvariants:
         replaced = 0
         for i, values in enumerate(stream):
             outcome, _ = archive.try_insert(sol(i, values), counters)
-            replaced += outcome.status is InsertStatus.ACCEPTED_REPLACING
+            replaced += outcome.accepted and bool(outcome.departed)
         assert replaced > 0
         assert archive.monotonicity_violations == 0
 
@@ -302,7 +304,8 @@ class TestGpsInvariants:
         # as if the incumbent had been admitted closer than it lies now
         archive._admitted[ray] = 0.1
         outcome, _ = archive.try_insert(sol(1, (0.5, 0.5)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
         assert archive.monotonicity_violations == 1
         archive.try_insert(sol(2, (0.25, 0.25)), counters)
         assert archive.monotonicity_violations == 1
@@ -315,9 +318,11 @@ class TestGpsInvariants:
         for s in random_solutions(rng, 500):
             before = {m.id: m for m in archive.members()}
             outcome, _ = archive.try_insert(s, counters)
-            for evicted_id in outcome.evicted_ids:
+            if not outcome.accepted:
+                assert outcome.departed == ()
+            for departed in outcome.departed:
                 assert archive.distance_to_reference(s) < archive.distance_to_reference(
-                    before[evicted_id]
+                    before[departed.id]
                 )
 
     def test_memory_tracks_occupied_rays(self):

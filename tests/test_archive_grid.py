@@ -7,7 +7,6 @@ from moealab import (
     DimensionMismatchError,
     GridArchive,
     GridSpec,
-    InsertStatus,
     ObjectiveVector,
     OutOfBoundsError,
     cell_of,
@@ -118,6 +117,20 @@ class TestAdaptBounds:
             assert spec.contains(point)
         assert occupancy_sorted(archive) == occupancy_rebuilt_from_scratch(archive)
 
+    @pytest.mark.parametrize("values", [(0.5, 0.5, 9.0), (2.0, 0.5, 9.0)])
+    def test_wrong_dimension_raises_and_keeps_the_spec(self, values):
+        # one vector inside the 2-objective bounds on its leading components,
+        # one outside them
+        archive = GridArchive(10, unit_spec())
+        counters = Counters()
+        archive.try_insert(sol(0, (0.5, 0.5)), counters)
+        spec_before, lookups = archive.spec, counters.cell_lookups
+        with pytest.raises(DimensionMismatchError):
+            archive.adapt_bounds(ObjectiveVector(values), counters)
+        assert archive.spec is spec_before
+        assert counters.cell_lookups == lookups
+        assert occupancy_sorted(archive) == {CellIndex((2, 2)): (0,)}
+
     def test_degenerate_envelope_still_produces_valid_bounds(self):
         archive = GridArchive(10, unit_spec())
         counters = Counters()
@@ -130,7 +143,7 @@ class TestGridInsert:
         archive = GridArchive(5, unit_spec())
         counters = Counters()
         outcome, _ = archive.try_insert(sol(0, (0.3, 0.7)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
         assert occupancy_sorted(archive) == {CellIndex((1, 2)): (0,)}
 
     def test_crowded_cell_member_displaced_by_lonely_candidate(self):
@@ -141,8 +154,8 @@ class TestGridInsert:
         archive.try_insert(sol(0, (0.10, 0.90)), counters)
         archive.try_insert(sol(1, (0.11, 0.89)), counters)
         outcome, _ = archive.try_insert(sol(2, (0.9, 0.1)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-        assert outcome.evicted_ids == (0,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
         assert set(members_values(archive)) == {(0.11, 0.89), (0.9, 0.1)}
 
     def test_candidate_into_equally_crowded_cell_rejected(self):
@@ -153,7 +166,8 @@ class TestGridInsert:
         # the candidate lands in id 0's cell, which is already as crowded as
         # the most crowded cell, so nothing is displaced
         outcome, _ = archive.try_insert(sol(2, (0.15, 0.85)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
+        assert outcome.departed == ()
         assert len(archive.members()) == 2
 
     def test_lonely_candidate_displaces_singleton_from_first_crowded_cell(self):
@@ -164,8 +178,8 @@ class TestGridInsert:
         # all occupied cells are singletons; a candidate in an empty cell
         # displaces the lowest-coordinate cell's member deterministically
         outcome, _ = archive.try_insert(sol(2, (0.6, 0.45)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-        assert outcome.evicted_ids == (0,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
 
     def test_dominated_candidate_rejected_with_zero_change(self):
         archive = GridArchive(5, unit_spec())
@@ -173,7 +187,7 @@ class TestGridInsert:
         first, _ = archive.try_insert(sol(0, (0.2, 0.2)), counters)
         before = members_values(archive)
         outcome, _ = archive.try_insert(sol(1, (0.6, 0.6)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
         assert members_values(archive) == before
         assert [*first.departed, *outcome.departed] == []
 
@@ -182,7 +196,7 @@ class TestGridInsert:
         counters = Counters()
         archive.try_insert(sol(0, (0.5, 0.5)), counters)
         outcome, _ = archive.try_insert(sol(1, (1.4, 0.3)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
         assert archive.spec.contains(ObjectiveVector((1.4, 0.3)))
 
     def test_wrong_dimension_candidate_leaves_an_empty_archive_empty(self):
@@ -193,7 +207,7 @@ class TestGridInsert:
         assert archive.members() == []
         assert archive.cell_occupancy() == {}
         outcome, _ = archive.try_insert(sol(1, (0.3, 0.7)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
 
     def test_in_bounds_insertion_tests_the_bounds_once(self, monkeypatch):
         calls = 0
@@ -266,8 +280,10 @@ class TestGridInvariants:
             candidate = sol(i, tuple(float(x) for x in rng.random(2)))
             before = {m.id: m for m in archive.members()}
             outcome, _ = archive.try_insert(candidate, counters)
-            for evicted_id in outcome.evicted_ids:
-                evicted = before[evicted_id].objectives.values
+            if not outcome.accepted:
+                assert outcome.departed == ()
+            for departed in outcome.departed:
+                evicted = before[departed.id].objectives.values
                 cand = candidate.objectives.values
                 dominated_by_evicted = all(
                     e <= c for e, c in zip(evicted, cand)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from moealab import (
     Counters,
-    InsertStatus,
     RnArchive,
     deterioration_check,
 )
@@ -27,7 +26,7 @@ class TestRnInsert:
         archive.try_insert(sol(0, (1.0, 3.0)), counters)
         archive.try_insert(sol(1, (3.0, 1.0)), counters)
         outcome, _ = archive.try_insert(sol(2, (2.0, 2.0)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_NEW
+        assert outcome.accepted and not outcome.departed
         assert set(members_values(archive)) == {(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)}
 
     def test_dominated_candidate_rejected(self):
@@ -35,7 +34,8 @@ class TestRnInsert:
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 1.0)), counters)
         outcome, _ = archive.try_insert(sol(1, (2.0, 2.0)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
+        assert outcome.departed == ()
         assert members_values(archive) == [(1.0, 1.0)]
 
     def test_equal_candidate_rejected(self):
@@ -43,7 +43,8 @@ class TestRnInsert:
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 1.0)), counters)
         outcome, _ = archive.try_insert(sol(1, (1.0, 1.0)), counters)
-        assert outcome.status is InsertStatus.REJECTED
+        assert not outcome.accepted
+        assert outcome.departed == ()
 
     def test_dominating_candidate_evicts_the_beaten_members(self):
         archive = RnArchive(10)
@@ -51,8 +52,8 @@ class TestRnInsert:
         archive.try_insert(sol(0, (2.0, 2.0)), counters)
         archive.try_insert(sol(1, (5.0, 0.5)), counters)
         outcome, _ = archive.try_insert(sol(2, (1.0, 1.0)), counters)
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-        assert outcome.evicted_ids == (0,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [0]
         assert {m.id for m in archive.members()} == {1, 2}
         assert [m.objectives.values for m in outcome.departed] == [(2.0, 2.0)]
 
@@ -66,8 +67,7 @@ class TestRnInsert:
             archive.try_insert(s, counters)
         candidate = sol(3, (1.9, 2.1))
         outcome, _ = archive.try_insert(candidate, counters)
-        assert outcome.status is InsertStatus.REJECTED
-        assert outcome.evicted_ids == ()
+        assert not outcome.accepted
         assert set(members_values(archive)) == {(0.0, 4.0), (4.0, 0.0), (2.0, 2.0)}
         # the candidate was admitted and left again, so it is reported as
         # departed even though the net outcome is a rejection
@@ -102,8 +102,8 @@ class TestClusterTruncate:
         # the (2,2)/(2.1,1.9) pair is by far the closest; equal mean distances
         # inside the pair, so the lower id 3, the candidate, stays and the
         # older member with id 5 leaves
-        assert outcome.status is InsertStatus.ACCEPTED_REPLACING
-        assert outcome.evicted_ids == (5,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [5]
         assert [m.id for m in archive.members()] == [0, 1, 3]
 
     def test_collinear_equidistant_ties_break_by_lowest_id_pair(self):
@@ -116,7 +116,8 @@ class TestClusterTruncate:
         # sqrt(2); ordered by (lower id, higher id), (0,3) comes first and its
         # higher id 3 leaves, although it is neither the first pair in member
         # order nor the first by (higher id, lower id)
-        assert outcome.evicted_ids == (3,)
+        assert outcome.accepted
+        assert [d.id for d in outcome.departed] == [3]
         assert [m.id for m in archive.members()] == [1, 2, 0]
 
 

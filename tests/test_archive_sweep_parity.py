@@ -16,7 +16,6 @@ from moealab import (
     GpsArchive,
     GridArchive,
     GridSpec,
-    InsertStatus,
     ObjectiveVector,
     RaySpec,
     RnArchive,
@@ -110,9 +109,10 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
             list(m.objectives.values) for m in archive.members()
         ]
         outcome = got[0]
-        if equals_member and outcome.status is InsertStatus.REJECTED:
+        if equals_member and not outcome.accepted:
             seen["equal_rejected"] += 1
-        evicted = [before[j] for j in outcome.evicted_ids]
+        # an rn candidate truncated on arrival departs without being evicted
+        evicted = [before[d.id] for d in outcome.departed if d is not candidate]
         if any(not dominates(candidate.objectives, m.objectives) for m in evicted):
             seen["evicted_undominated"] += 1
         if spec is not None and archive.spec != spec:

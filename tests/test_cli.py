@@ -313,6 +313,41 @@ class TestBadInputExits2:
         assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "literal, shown",
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")],
+    )
+    @pytest.mark.parametrize(
+        "key, entries",
+        [
+            ("archive.inflation", {"archive": {"kind": "grid", "inflation": "@"}}),
+            ("archive.grid_upper", {"archive": {"kind": "grid", "grid_upper": ["@", 1]}}),
+            ("variation.mutation_spread", {"variation": {"mutation_spread": "@"}}),
+            ("local_search.step_scale", {"local_search": {"step_scale": "@"}}),
+        ],
+    )
+    def test_run_non_finite_number(self, tmp_path, capsys, literal, shown, key, entries):
+        # Python's json reads these literals; the config loader must refuse them
+        config = tmp_path / "config.json"
+        text = json.dumps({"problem": "sch", "max_evaluations": 100, **entries})
+        config.write_text(text.replace('"@"', literal))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        message = f"configuration error: config.{key} must be finite, got float {shown}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_run_int_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        config = tmp_path / "config.json"
+        config.write_text('{"problem": "sch", "seed": 1' + "0" * 5000 + "}")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: malformed JSON in {config}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["sweep", "--archiver", "gps", "--seed", "-1", "--out", str(out)])

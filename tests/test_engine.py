@@ -53,9 +53,6 @@ class StubStore:
     def members(self):
         return list(self.current)
 
-    def member_objectives(self):
-        return np.array([s.objectives.values for s in self.current], dtype=float)
-
 
 class PairedTracker:
     """DeteriorationTracker and TrackerOracle fed the same calls; after every
