@@ -37,8 +37,21 @@ _VARIANT_FIELDS = ("archive", "preset", "variation", "local_search")
 _VARIANT_ONLY = ("archive", "preset")
 
 
+# a value printed in an error message is cut to this many characters
+_SHOWN_CHARS = 60
+
+
 def _describe(value: object) -> str:
-    return "null" if value is None else f"{type(value).__name__} {value!r}"
+    if value is None:
+        return "null"
+    text = repr(value)
+    if len(text) > _SHOWN_CHARS:
+        if isinstance(value, int):
+            size = f"{len(text.lstrip('-'))} digits"
+        else:
+            size = f"{len(text)} characters"
+        text = f"{text[:_SHOWN_CHARS]}… ({size})"
+    return f"{type(value).__name__} {text}"
 
 
 def _finite(value: int | float, path: str) -> int | float:
@@ -121,13 +134,25 @@ def _run_config(data: dict, path: str) -> RunConfig:
     return config
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of repeated keys without a word
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {path}") from None
     except ValueError as exc:  # also an int literal past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

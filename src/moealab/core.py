@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -140,6 +141,33 @@ def dominates(
     a: ObjectiveVector, b: ObjectiveVector, counters: Counters | None = None
 ) -> bool:
     return compare(a, b, counters) is DominanceRelation.DOMINATES
+
+
+def first_dominated(
+    a: ObjectiveVector, solutions: Sequence[Solution], counters: Counters | None = None
+) -> int | None:
+    """Index of the first of `solutions` whose objectives `a` dominates, or
+    None when it dominates none of them.
+
+    Charges what calling dominates() on each member in order, up to the first
+    hit, would: index + 1 comparisons on a hit, len(solutions) otherwise. For
+    finite values, a <= b componentwise with a != b is compare()'s DOMINATES.
+    """
+    av = a.values
+    m = len(av)
+    for i, s in enumerate(solutions):
+        bv = s.objectives.values
+        if len(bv) != m:
+            if counters is not None:
+                counters.dominance_comparisons += i
+            raise DimensionMismatchError(f"dimension mismatch: {m} vs {len(bv)}")
+        if all(map(le, av, bv)) and av != bv:
+            if counters is not None:
+                counters.dominance_comparisons += i + 1
+            return i
+    if counters is not None:
+        counters.dominance_comparisons += len(solutions)
+    return None
 
 
 def nondominated_filter(solutions: Iterable[Solution]) -> list[Solution]:

@@ -27,6 +27,7 @@ from .core import (
     Solution,
     deterioration_check,  # not called here; the benchmark's trace list names it
     dominates,
+    first_dominated,
     nondominated_filter,
     weak_relations,
 )
@@ -188,7 +189,8 @@ class DeteriorationTracker:
                 continue
             # nothing kept weakly dominates the row, so every kept row it
             # weakly dominates it dominates
-            self._history = np.concatenate((self._history[~beaten], [values]))
+            kept = self._history[~beaten] if beaten.any() else self._history
+            self._history = np.concatenate((kept, [values]))
 
     def observe(
         self,
@@ -326,11 +328,7 @@ def update_population(state: RunState, child: Solution, accepted: bool) -> None:
     sampled member."""
     pop = state.population
     if accepted:
-        index = None
-        for i, member in enumerate(pop):
-            if dominates(child.objectives, member.objectives, state.counters):
-                index = i
-                break
+        index = first_dominated(child.objectives, pop, state.counters)
         if index is None:
             index = int(state.rng.integers(len(pop)))
         pop[index] = child

@@ -114,22 +114,21 @@ def generate(
     block = rng.random(5 * n).tolist()
     pos = 0
     genome = []
-    for k in range(n):
-        lo, hi = bounds[k]
+    append = genome.append
+    for x1, x2, (lo, hi) in zip(x1s, x2s, bounds, strict=True):
         if block[pos] < crossover_prob:
             u = block[pos + 1]
             if u <= 0.5:
                 beta = (2.0 * u) ** exponent_c
             else:
                 beta = (1.0 / (2.0 * (1.0 - u))) ** exponent_c
-            x1, x2 = x1s[k], x2s[k]
             if block[pos + 2] < 0.5:
                 g = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
             else:
                 g = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
             pos += 3
         else:
-            g = x1s[k]
+            g = x1
             pos += 1
         if hi > lo:
             if block[pos] < mutation_prob:
@@ -137,7 +136,12 @@ def generate(
                 pos += 2
             else:
                 pos += 1
-        genome.append(min(hi, max(lo, g)))
+        # min(hi, max(lo, g)), operand for operand (signed zeros included)
+        if not g > lo:
+            g = lo
+        if not g < hi:
+            g = hi
+        append(g)
     rng.bit_generator.state = state
     rng.random(pos)
     return Solution(next(ids), tuple(genome))

@@ -348,6 +348,57 @@ class TestBadInputExits2:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("run", '{"problem": "sch", "seed": 1, "seed": 7}', "seed"),
+            ("run", '{"problem": "sch", "archive": {"kind": "rn", "kind": "grid"}}', "kind"),
+            ("compare", '{"problem": "sch", "seed": 1, "seed": 7, "variants": @}', "seed"),
+            (
+                "compare",
+                '{"problem": "sch", "variants": [{"archive": {"kind": "rn", "kind": "grid"}}]}',
+                "kind",
+            ),
+        ],
+        ids=["run-top-level", "run-archive", "compare-top-level", "compare-archive"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, command, text, key):
+        # json.loads alone keeps the last value of a repeated key
+        variants = '[{"archive": {"kind": "rn"}}, {"archive": {"kind": "gps"}}]'
+        config = tmp_path / "config.json"
+        config.write_text(text.replace("@", variants))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        message = f"configuration error: repeated key {key!r} in {config}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, shown",
+        [
+            (
+                {"archive": {"kind": "grid", "inflation": "1" + "0" * 400}},
+                "config.archive.inflation must be finite, got int 1" + "0" * 59 + "… (401 digits)",
+            ),
+            (
+                {"problem": 10**80},
+                "config.problem must be str, got int 1" + "0" * 59 + "… (81 digits)",
+            ),
+            (
+                {"seed": "x" * 500},
+                "config.seed must be int, got str '" + "x" * 59 + "… (502 characters)",
+            ),
+        ],
+    )
+    def test_long_value_is_cut_in_the_message(self, tmp_path, capsys, entries, shown):
+        config = tmp_path / "config.json"
+        text = json.dumps({"problem": "sch", "max_evaluations": 100, **entries})
+        config.write_text(text.replace('"1' + "0" * 400 + '"', "1" + "0" * 400))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {shown}\n"
+        assert len(err) < 160
+
     def test_sweep_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["sweep", "--archiver", "gps", "--seed", "-1", "--out", str(out)])

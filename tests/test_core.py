@@ -12,9 +12,11 @@ from moealab import (
     compare,
     deterioration_check,
     dominance_masks,
+    dominates,
     nondominated_filter,
     weak_relations,
 )
+from moealab.core import first_dominated
 from oracles import (
     oracle_front_indices,
     oracle_front_values,
@@ -242,6 +244,53 @@ class TestWeakRelations:
             weak_relations(np.zeros((2, 2)), (0.0, 0.0, 0.0))
         with pytest.raises(DimensionMismatchError):
             weak_relations(np.empty((0, 2)), (0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def scan_with_dominates(a, solutions, counters):
+    """The member-order loop first_dominated replaces: one dominates() call
+    per member up to the first hit."""
+    for i, s in enumerate(solutions):
+        if dominates(a, s.objectives, counters):
+            return i
+    return None
+
+
+class TestFirstDominated:
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dominates_loop(self, m, data):
+        # lattice rows tie often and repeat; the point may dominate none of them
+        rows = data.draw(lattice_rows(m, max_rows=12))
+        point = vec(*(float(x) for x in data.draw(st.tuples(*[st.integers(0, 3)] * m))))
+        solutions = [sol(i, tuple(map(float, row))) for i, row in enumerate(rows)]
+        start = data.draw(st.integers(0, 5))
+        counters, oracle_counters = Counters(start), Counters(start)
+        index = first_dominated(point, solutions, counters)
+        assert index == scan_with_dominates(point, solutions, oracle_counters)
+        assert counters == oracle_counters
+        assert first_dominated(point, solutions) == index
+
+    def test_no_hit_charges_every_member(self):
+        solutions = [sol(0, (1.0, 1.0)), sol(1, (1.0, 1.0)), sol(2, (0.0, 3.0))]
+        counters = Counters()
+        assert first_dominated(vec(1.0, 1.0), solutions, counters) is None
+        assert counters.dominance_comparisons == 3
+        assert first_dominated(vec(1.0, 1.0), [], counters) is None
+        assert counters.dominance_comparisons == 3
+
+    def test_first_of_equal_hits_wins(self):
+        solutions = [sol(0, (0.0, 0.0)), sol(1, (2.0, 2.0)), sol(2, (2.0, 2.0))]
+        counters = Counters()
+        assert first_dominated(vec(1.0, 1.0), solutions, counters) == 1
+        assert counters.dominance_comparisons == 2
+
+    def test_mismatched_dimension_raises_after_charging_the_members_before_it(self):
+        solutions = [sol(0, (0.0, 0.0)), sol(1, (0.0, 0.0, 0.0)), sol(2, (2.0, 2.0))]
+        counters = Counters()
+        with pytest.raises(DimensionMismatchError):
+            first_dominated(vec(1.0, 1.0), solutions, counters)
+        assert counters.dominance_comparisons == 1
 
 
 class TestDeteriorationCheck:

@@ -38,7 +38,8 @@ def assert_history_is_evicted_front(tracker, evicted):
 
 
 def history_rows(tracker):
-    return {tuple(row) for row in tracker._history.tolist()}
+    # in order: kept rows keep their places and a new row goes last
+    return [tuple(row) for row in tracker._history.tolist()]
 
 
 class StubStore:

@@ -213,15 +213,35 @@ class TestGenerateStreamParity:
                 return
             child = generate((p1, p2), config, bounds, rng, ids)
             assert child.id == expected.id
-            assert child.genome == expected.genome
+            # bit for bit: == would let -0.0 pass for 0.0
+            assert list(map(float.hex, child.genome)) == list(map(float.hex, expected.genome))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             p1, p2 = child, p1
+
+    @pytest.mark.parametrize(
+        "gene, bounds, expected",
+        [
+            (-0.0, (0.0, 1.0), "0x0.0p+0"),
+            (0.0, (-0.0, 1.0), "-0x0.0p+0"),
+            (0.0, (-1.0, -0.0), "-0x0.0p+0"),
+            (-0.5, (-0.0, 0.0), "0x0.0p+0"),
+            (1.0, (0.0, 1.0), "0x1.0000000000000p+0"),
+            (0.0, (0.0, 1.0), "0x0.0p+0"),
+        ],
+    )
+    def test_clamp_returns_the_operand_min_max_would(self, gene, bounds, expected):
+        # a gene at or past a bound becomes that bound, signed zero and all
+        config = VariationConfig(crossover_prob=0.0, mutation_prob=0.0)
+        p = parent(0, (gene,))
+        for produce in (generate, generate_oracle):
+            child = produce((p, p), config, (bounds,), np.random.default_rng(0), itertools.count())
+            assert child.genome[0].hex() == expected
 
     @pytest.mark.xfail(strict=True, raises=TypeError)
     def test_mutation_of_an_out_of_bounds_child_crashes(self):
         # polynomial mutation runs on the unclamped crossover child; below the
         # lower bound its base is negative, and a negative float raised to a
-        # non-integral power is complex, so max(lo, g) raises TypeError.
+        # non-integral power is complex, so the clamp's g > lo raises TypeError.
         # Clamping the child first fixes it but changes every run's output
         run(
             RunConfig(
