@@ -9,7 +9,7 @@ later-retained one (see the deterioration tests).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -70,38 +70,33 @@ class RnArchive(NondominatedStore):
         return [self._drop(victim)]
 
     def strength_fitness(
-        self, population: Iterable[Solution], counters: Counters | None = None
-    ) -> dict[int, float]:
-        """Strength-based fitness over archive members and population, lower is better.
+        self, population: Sequence[Solution], counters: Counters | None = None
+    ) -> list[float]:
+        """Strength-based fitness of each population member, in population
+        order; lower is better.
 
-        Each archive member e gets strength S(e) = |{p in population weakly
-        dominated by e}| / (|population| + 1) and fitness S(e). A population
-        member's fitness is 1 plus the summed strength of the archive members
-        that strictly dominate it, so anything nondominated by the whole
-        archive scores exactly 1.
+        Each archive member e has strength S(e) = |{p in population weakly
+        dominated by e}| / (|population| + 1). A population member's fitness is
+        1 plus the summed strength of the archive members that strictly
+        dominate it, so anything nondominated by the whole archive scores
+        exactly 1.
         """
-        pop = list(population)
         members = self._members
         if counters is not None:
             # the cost model charges one comparison per (member, population) pair
-            counters.dominance_comparisons += len(members) * len(pop)
-        if members and pop:
-            weak, strict = dominance_masks(
-                self._objectives,
-                np.array([p.objectives.values for p in pop], dtype=float),
-            )
-            strengths = weak.sum(axis=1) / (len(pop) + 1)
-            # row 0 is the floor of 1, row r the strength of member r - 1 where
-            # it dominates; accumulating down the rows adds them in member
-            # order, exactly as a scalar loop would (a pairwise sum could
-            # differ in the last bit)
-            terms = np.empty((len(members) + 1, len(pop)))
-            terms[0] = 1.0
-            np.multiply(strict, strengths[:, None], out=terms[1:])
-            totals = np.add.accumulate(terms, axis=0)[-1]
-        else:
-            strengths = np.zeros(len(members))
-            totals = np.ones(len(pop))
-        fitness = dict(zip((e.id for e in members), strengths.tolist()))
-        fitness.update(zip((p.id for p in pop), totals.tolist()))
-        return fitness
+            counters.dominance_comparisons += len(members) * len(population)
+        if not members or not population:
+            return [1.0] * len(population)
+        weak, strict = dominance_masks(
+            self._objectives,
+            np.array([p.objectives.values for p in population], dtype=float),
+        )
+        strengths = weak.sum(axis=1) / (len(population) + 1)
+        # row 0 is the floor of 1, row r the strength of member r - 1 where it
+        # dominates; accumulating down the rows adds them in member order,
+        # exactly as a scalar loop would (a pairwise sum could differ in the
+        # last bit)
+        terms = np.empty((len(members) + 1, len(population)))
+        terms[0] = 1.0
+        np.multiply(strict, strengths[:, None], out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1].tolist()

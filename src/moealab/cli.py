@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime assertion failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import json
@@ -189,6 +190,17 @@ def _write_stats_jsonl(path: Path, result: RunResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _output_dir(path: str) -> Path:
+    """Create the output directory; a path that cannot be one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot create output directory {out}: {reason}") from exc
+    return out
+
+
 def _run_repeats(config: RunConfig, repeats: int) -> list[RunResult]:
     # derived seeds: seed + repeat index
     return [run(replace(config, seed=config.seed + i)) for i in range(repeats)]
@@ -208,8 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             data[key] = value
     fields, out_dir, repeats = _run_file_keys(data)
     config = _run_config(fields, "config")
-    out = Path(args.out or out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or out_dir)
     results = _run_repeats(config, repeats)
     for result in results:
         seed = result.config.seed
@@ -259,8 +270,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         names.append(name)
         configs.append(config)
 
-    out = Path(args.out or out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or out_dir)
 
     per_variant: list[list[RunResult]] = [
         _run_repeats(config, repeats) for config in configs
@@ -301,10 +311,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return _format_float(value)
         return str(value)
 
-    csv_lines = [",".join(columns)]
-    for row in rows:
-        csv_lines.append(",".join(cell(row, col) for col in columns))
-    (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
+    with (out / "compare.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([cell(row, col) for col in columns] for row in rows)
     payload = {
         "base": data,
         "variants": names,
@@ -326,9 +336,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep needs at least 2 distinct sizes, got {args.sizes!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    out = _output_dir(args.out)
     report = complexity_sweep(args.archiver, sizes, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / f"sweep_{args.archiver}.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )

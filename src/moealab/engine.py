@@ -321,21 +321,22 @@ def initialize(config: RunConfig) -> RunState:
     return state
 
 
-def update_population(state: RunState, child: Solution, accepted: bool) -> None:
+def update_population(state: RunState, child: Solution, accepted: bool) -> int | None:
     """Archive-driven replacement: an archive-accepted child always enters the
     population (displacing a member it dominates when one exists, otherwise a
     random member); a rejected child only enters by dominating a randomly
-    sampled member."""
+    sampled member. Returns the slot the child took, or None."""
     pop = state.population
     if accepted:
         index = first_dominated(child.objectives, pop, state.counters)
         if index is None:
             index = int(state.rng.integers(len(pop)))
-        pop[index] = child
     else:
         index = int(state.rng.integers(len(pop)))
-        if dominates(child.objectives, pop[index].objectives, state.counters):
-            pop[index] = child
+        if not dominates(child.objectives, pop[index].objectives, state.counters):
+            return None
+    pop[index] = child
+    return index
 
 
 def _front_reference(state: RunState) -> list[ObjectiveVector] | None:
@@ -379,7 +380,7 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
             state.archive.members(),
             state.rng,
             parent_prob,
-            fitness_by_id=fitness,
+            fitness=fitness,
         )
         child = generate(
             parents, config.variation, state.problem.bounds, state.rng, state.ids
@@ -397,11 +398,11 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
             )
         accepted = _offer(state, child)
         accepted_count += accepted
-        update_population(state, child, accepted)
-        if fitness is not None:
+        index = update_population(state, child, accepted)
+        if fitness is not None and index is not None:
             # entrants newer than this generation's fitness snapshot count as
             # archive-nondominated, which is exactly the strength floor
-            fitness[child.id] = 1.0
+            fitness[index] = 1.0
     state.generation += 1
     metrics: dict[str, float] = {}
     if config.metrics_every is not None:

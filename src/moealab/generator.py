@@ -56,14 +56,14 @@ def select_parents(
     archive_members: Sequence[Solution],
     rng: np.random.Generator,
     archive_parent_prob: float,
-    fitness_by_id: dict[int, float] | None = None,
+    fitness: Sequence[float] | None = None,
 ) -> tuple[Solution, Solution]:
     """Draw two parents, each independently from the archive with probability
     archive_parent_prob (uniformly), otherwise from the population.
 
-    Population draws use a binary tournament on fitness_by_id (lower wins,
-    ties to the lower id) when a fitness map is supplied, uniform choice
-    otherwise.
+    Population draws use a binary tournament on fitness (lower wins, ties to
+    the lower id), where fitness[i] belongs to population[i], when it is
+    supplied, uniform choice otherwise.
     """
     if not population:
         raise ValueError("population must be non-empty")
@@ -71,14 +71,12 @@ def select_parents(
     def one() -> Solution:
         if archive_members and rng.random() < archive_parent_prob:
             return archive_members[int(rng.integers(len(archive_members)))]
-        if fitness_by_id is None:
+        if fitness is None:
             return population[int(rng.integers(len(population)))]
         i = int(rng.integers(len(population)))
         j = int(rng.integers(len(population)))
         a, b = population[i], population[j]
-        ka = (fitness_by_id[a.id], a.id)
-        kb = (fitness_by_id[b.id], b.id)
-        return a if ka <= kb else b
+        return a if (fitness[i], a.id) <= (fitness[j], b.id) else b
 
     return one(), one()
 

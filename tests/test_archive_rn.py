@@ -190,12 +190,19 @@ class TestClusterTruncateMatchesOracle:
         check_truncate_against_oracle(data.draw(lattice_points(m)), data)
 
 
+def oracle_by_position(members, population, counters=None):
+    # the oracle keys by id; strength_fitness lists the population's fitness
+    # in population order
+    want = strength_fitness_oracle(members, population, counters)
+    return [want[p.id] for p in population]
+
+
 class TestStrengthFitness:
     def test_empty_archive_gives_unit_fitness(self):
         archive = RnArchive(5)
         population = [sol(0, (1.0, 1.0)), sol(1, (2.0, 2.0))]
         fitness = archive.strength_fitness(population)
-        assert fitness == {0: 1.0, 1: 1.0}
+        assert fitness == [1.0, 1.0]
 
     def test_single_dominating_member(self):
         archive = RnArchive(5)
@@ -203,7 +210,6 @@ class TestStrengthFitness:
         archive.try_insert(sol(9, (0.0, 0.0)), counters)
         population = [sol(0, (1.0, 1.0)), sol(1, (2.0, 2.0))]
         fitness = archive.strength_fitness(population)
-        assert fitness[9] == pytest.approx(2.0 / 3.0)
         assert fitness[0] == pytest.approx(1.0 + 2.0 / 3.0)
         assert fitness[1] == pytest.approx(1.0 + 2.0 / 3.0)
 
@@ -220,11 +226,12 @@ class TestStrengthFitness:
     def test_lower_fitness_is_better_ordering(self):
         archive = RnArchive(5)
         counters = Counters()
-        archive.try_insert(sol(9, (0.0, 0.0)), counters)
-        population = [sol(0, (0.5, 0.5)), sol(1, (9.0, 9.0))]
+        archive.try_insert(sol(9, (0.0, 1.0)), counters)
+        archive.try_insert(sol(10, (1.0, 0.0)), counters)
+        # dominated by member 9 only, by both members, and by neither
+        population = [sol(0, (0.5, 1.5)), sol(1, (2.0, 2.0)), sol(2, (0.5, 0.5))]
         fitness = archive.strength_fitness(population)
-        # the archive member beats every population member
-        assert fitness[9] < fitness[0]
+        assert fitness[2] < fitness[0] < fitness[1]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_scalar_oracle_on_random_streams(self, seed):
@@ -250,7 +257,7 @@ class TestStrengthFitness:
             population += archive.members()[: size // 4]
             got_counters, want_counters = Counters(), Counters()
             got = archive.strength_fitness(population, got_counters)
-            want = strength_fitness_oracle(archive.members(), population, want_counters)
+            want = oracle_by_position(archive.members(), population, want_counters)
             assert got == want
             assert got_counters.dominance_comparisons == want_counters.dominance_comparisons
 
@@ -259,7 +266,7 @@ class TestStrengthFitness:
         empty = RnArchive(5)
         for pop in (population, []):
             got_counters, want_counters = Counters(), Counters()
-            assert empty.strength_fitness(pop, got_counters) == strength_fitness_oracle(
+            assert empty.strength_fitness(pop, got_counters) == oracle_by_position(
                 [], pop, want_counters
             )
             assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0
@@ -267,7 +274,7 @@ class TestStrengthFitness:
         archive.try_insert(sol(9, (0.0, 3.0)), Counters())
         archive.try_insert(sol(10, (3.0, 0.0)), Counters())
         got_counters, want_counters = Counters(), Counters()
-        assert archive.strength_fitness([], got_counters) == strength_fitness_oracle(
+        assert archive.strength_fitness([], got_counters) == oracle_by_position(
             archive.members(), [], want_counters
         )
         assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0

@@ -1,9 +1,11 @@
+import csv
 import json
 from dataclasses import asdict
 
 import pytest
 
 from moealab import ArchiveConfig, LocalSearchConfig, RunConfig, VariationConfig
+from moealab import cli
 from moealab.cli import _load, main
 from oracles import oracle_pairwise_nondominating
 
@@ -257,6 +259,23 @@ class TestCmdCompare:
         assert row_b["coverage_over_a"] == 1.0
 
 
+    def test_names_with_commas_quotes_and_line_breaks_stay_valid_csv(self, tmp_path):
+        names = ["rn,small", 'g\nx "q"']
+        config = self.compare_config(
+            tmp_path,
+            [
+                {"name": names[0], "archive": {"kind": "rn", "capacity": 12}},
+                {"name": names[1], "archive": {"kind": "grid", "capacity": 12}},
+            ],
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", config, "--out", str(out)]) == 0
+        with (out / "compare.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [f"coverage_over_{name}" for name in names] == header[5:7]
+        assert [row[0] for row in rows] == names
+        assert {len(row) for row in rows} == {len(header)}
+
     def test_variant_names_that_print_alike_exit_2(self, tmp_path, capsys):
         config = self.compare_config(
             tmp_path,
@@ -398,6 +417,36 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert err == f"configuration error: {shown}\n"
         assert len(err) < 160
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch, command, below):
+        def never(*args, **kwargs):
+            pytest.fail("ran before the output directory was created")
+
+        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(cli, "complexity_sweep", never)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        if command == "run":
+            argv = ["run", "--config", sch_config(tmp_path)]
+        elif command == "compare":
+            config = write_config(
+                tmp_path / "compare.json",
+                problem="sch",
+                variants=[{"archive": {"kind": "rn"}}, {"archive": {"kind": "gps"}}],
+            )
+            argv = ["compare", "--config", config]
+        else:
+            argv = ["sweep", "--archiver", "rn", "--sizes", "5,10"]
+        before = sorted(tmp_path.iterdir())
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+        assert blocker.read_text() == "kept\n"
 
     def test_sweep_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "o"

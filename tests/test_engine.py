@@ -25,6 +25,7 @@ from oracles import (
     oracle_front_values,
     oracle_pairwise_nondominating,
     sol,
+    strength_fitness_oracle,
 )
 
 
@@ -212,6 +213,63 @@ class TestStep:
         stats = step(state, config)
         assert stats.archive_size == len(state.archive.members())
 
+    @pytest.mark.parametrize("replacement_count", [1, 10, 40])
+    def test_tournament_reads_each_members_strength_fitness(
+        self, monkeypatch, replacement_count
+    ):
+        # at every parent draw, fitness[i] is the oracle's value for a member
+        # present when the generation began and the strength floor 1.0 for an
+        # entrant; update_population reports the slot each child took
+        fitness_of = RnArchive.strength_fitness
+        select = engine.select_parents
+        place = engine.update_population
+        snapshot = {}
+        seen = {"dominated": 0, "entrants": 0}
+
+        def recording_fitness(archive, population, counters=None):
+            snapshot["population"] = list(population)
+            snapshot["want"] = strength_fitness_oracle(archive.members(), population)
+            return fitness_of(archive, population, counters)
+
+        def checking_select(population, archive_members, rng, prob, fitness=None):
+            assert len(fitness) == len(population)
+            for i, member in enumerate(population):
+                if member is snapshot["population"][i]:
+                    assert fitness[i] == snapshot["want"][member.id]
+                    seen["dominated"] += fitness[i] > 1.0
+                else:
+                    assert fitness[i] == 1.0
+                    seen["entrants"] += 1
+            return select(population, archive_members, rng, prob, fitness=fitness)
+
+        def checking_place(state, child, accepted):
+            before = list(state.population)
+            index = place(state, child, accepted)
+            if index is None:
+                assert state.population == before
+            else:
+                assert state.population[index] is child
+                assert state.population[:index] + state.population[index + 1:] == (
+                    before[:index] + before[index + 1:]
+                )
+            return index
+
+        monkeypatch.setattr(RnArchive, "strength_fitness", recording_fitness)
+        monkeypatch.setattr(engine, "select_parents", checking_select)
+        monkeypatch.setattr(engine, "update_population", checking_place)
+        for seed in range(4):
+            run(RunConfig(
+                problem="zdt1",
+                archive=ArchiveConfig("rn", capacity=30),
+                population_size=40,
+                preset=3,
+                replacement_count=replacement_count,
+                max_evaluations=400,
+                seed=seed,
+            ))
+        assert seen["dominated"] > 0
+        assert (seen["entrants"] > 0) == (replacement_count > 1)
+
 
 class TestUpdatePopulation:
     def _state(self):
@@ -228,7 +286,7 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.2, 0.2))
         state.population[4].objectives = ObjectiveVector((30.0, 30.0))
         child = self._child(state, (0.5, 0.5))  # dominates only member 4
-        update_population(state, child, True)
+        assert update_population(state, child, True) == 4
         assert state.population[4] is child
 
     def test_rejected_child_dominated_by_sampled_member_is_discarded(self):
@@ -237,7 +295,7 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.1, 0.1))
         before = list(state.population)
         child = self._child(state, (5.0, 5.0))
-        update_population(state, child, False)
+        assert update_population(state, child, False) is None
         assert state.population == before
 
     def test_accepted_incomparable_child_swaps_exactly_one_member(self):
@@ -246,18 +304,18 @@ class TestUpdatePopulation:
             member.objectives = ObjectiveVector((0.0, 10.0))
         child = self._child(state, (1.0, 1.0))  # incomparable to every member
         before = list(state.population)
-        update_population(state, child, True)
+        index = update_population(state, child, True)
         swapped = [i for i, (a, b) in enumerate(zip(before, state.population)) if a is not b]
-        assert len(swapped) == 1
-        assert state.population[swapped[0]] is child
+        assert swapped == [index]
+        assert state.population[index] is child
 
     def test_rejected_child_dominating_sampled_member_enters(self):
         state = self._state()
         for member in state.population:
             member.objectives = ObjectiveVector((5.0, 5.0))
         child = self._child(state, (0.5, 0.5))
-        update_population(state, child, False)
-        assert child in state.population
+        index = update_population(state, child, False)
+        assert index is not None and state.population[index] is child
 
 
 class TestRun:

@@ -87,13 +87,29 @@ class TestSelectParents:
     def test_tournament_prefers_lower_fitness(self):
         rng = np.random.default_rng(4)
         population = [parent(0, (0.5, 0.5, 0.0)), parent(1, (0.5, 0.5, 0.0))]
-        fitness = {0: 5.0, 1: 1.0}
+        fitness = [5.0, 1.0]
         wins = sum(
-            select_parents(population, [], rng, 0.0, fitness_by_id=fitness)[0].id == 1
+            select_parents(population, [], rng, 0.0, fitness=fitness)[0].id == 1
             for _ in range(200)
         )
         # id 1 wins every tournament it enters and half the (i, i) draws
         assert wins > 120
+
+    def test_tournament_reads_fitness_by_position_and_ties_to_lower_id(self):
+        population = [parent(7, (0.5, 0.5, 0.0)), parent(3, (0.5, 0.5, 0.0))]
+        rng = np.random.default_rng(4)
+
+        def wins(fitness, sid):
+            return sum(
+                select_parents(population, [], rng, 0.0, fitness=fitness)[0].id == sid
+                for _ in range(200)
+            )
+
+        # fitness[0] is population[0]'s, whatever its id: id 7 wins every
+        # tournament it enters and half the (i, i) draws
+        assert wins([1.0, 5.0], 7) > 120
+        # on equal fitness the lower id wins instead
+        assert wins([2.0, 2.0], 3) > 120
 
     def test_deterministic_given_seed(self):
         population = [parent(i, (0.5, 0.5, 0.0)) for i in range(8)]

@@ -142,6 +142,38 @@ GOLDEN = [
         2,
         "1.0043037815402518",
     ),
+    # preset 3 with more than one child per generation, so entrants are
+    # drawn in tournaments before the next strength fitness
+    (
+        RunConfig(
+            problem="zdt1",
+            archive=ArchiveConfig("rn", capacity=30),
+            population_size=40,
+            preset=3,
+            replacement_count=10,
+            max_evaluations=1200,
+            seed=0,
+        ),
+        133123,
+        29,
+        4,
+        "0.7665072122780607",
+    ),
+    (
+        RunConfig(
+            problem="zdt1",
+            archive=ArchiveConfig("rn", capacity=30),
+            population_size=40,
+            preset=3,
+            replacement_count=40,
+            max_evaluations=1200,
+            seed=0,
+        ),
+        59245,
+        28,
+        0,
+        "0.7156488629202409",
+    ),
 ]
 
 
@@ -160,6 +192,8 @@ GOLDEN = [
         "rn-preset2-zdt1",
         "grid-zdt1-cap20-deteriorating",
         "rn-zdt1-cap10-deteriorating",
+        "rn-preset3-zdt1-replace10",
+        "rn-preset3-zdt1-generational",
     ],
 )
 def test_summary_matches_pinned_values(config, comparisons, front_size, deteriorated, gd):
