@@ -19,6 +19,10 @@ from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
 from .base import Archive, FeedbackSignal, InsertOutcome
 
 
+# the width of the angle range every ray bin divides
+_QUARTER = math.pi / 2.0
+
+
 class DegenerateDirectionError(ValueError):
     """The vector coincides with the reference point, so it has no direction."""
 
@@ -51,16 +55,17 @@ def ray_of(
     bin k of K covers [k*(pi/2)/K, (k+1)*(pi/2)/K) with the top edge clamped
     into the last bin. Angle k is the atan2 of the root of the squared offsets
     after k, summed left to right, and offset k. Cost is independent of the
-    archive size.
+    archive size. Raises DimensionMismatchError, ValueError below the reference
+    or DegenerateDirectionError at it, and charges a lookup only when it raises
+    none of them.
     """
-    if counters is not None:
-        counters.cell_lookups += 1
+    values = v.values
     reference = spec.reference.values
-    if len(v.values) != len(reference):
+    if len(values) != len(reference):
         raise DimensionMismatchError(
-            f"dimension mismatch: {len(v.values)} vs {len(reference)}"
+            f"dimension mismatch: {len(values)} vs {len(reference)}"
         )
-    u = list(map(sub, v.values, reference))
+    u = tuple(map(sub, values, reference))
     if min(u) < 0:
         raise ValueError(
             f"{v} is below the reference point {spec.reference} in some component"
@@ -69,13 +74,20 @@ def ray_of(
         raise DegenerateDirectionError(
             f"{v} equals the reference point; direction undefined"
         )
+    if counters is not None:
+        counters.cell_lookups += 1
     k_rays = spec.rays_per_axis
-    quarter = math.pi / 2.0
+    if len(u) == 2:
+        # one angle; its root of one square is the loop's, since 0 + y*y == y*y
+        x, y = u
+        c = int(math.atan2(math.sqrt(y * y), x) / _QUARTER * k_rays)
+        return RayIndex((c if c < k_rays else k_rays - 1,))
     squares = list(map(mul, u, u))
     coords = []
     for k in range(len(u) - 1):
         angle = math.atan2(math.sqrt(sum(squares[k + 1 :])), u[k])
-        coords.append(min(int(angle / quarter * k_rays), k_rays - 1))
+        c = int(angle / _QUARTER * k_rays)
+        coords.append(c if c < k_rays else k_rays - 1)
     return RayIndex(tuple(coords))
 
 

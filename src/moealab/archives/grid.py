@@ -10,6 +10,7 @@ proportional to the member count rather than the cell count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import NamedTuple
 
 from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
@@ -46,10 +47,12 @@ class GridSpec:
 
     def contains(self, v: ObjectiveVector) -> bool:
         """Raises DimensionMismatchError on a vector of another dimension."""
-        m = len(self.lower.values)
-        if len(v.values) != m:
-            raise DimensionMismatchError(f"dimension mismatch: {len(v.values)} vs {m}")
-        return all(lo <= x <= hi for x, lo, hi in zip(v, self.lower, self.upper))
+        values = v.values
+        lower = self.lower.values
+        m = len(lower)
+        if len(values) != m:
+            raise DimensionMismatchError(f"dimension mismatch: {len(values)} vs {m}")
+        return all(map(le, lower, values)) and all(map(le, values, self.upper.values))
 
 
 class CellIndex(NamedTuple):
@@ -71,9 +74,9 @@ def cell_of(
         counters.cell_lookups += 1
     d = spec.divisions
     coords = []
-    for x, lo, hi in zip(v, spec.lower, spec.upper):
+    for x, lo, hi in zip(v.values, spec.lower.values, spec.upper.values):
         c = int((x - lo) / (hi - lo) * d)
-        coords.append(min(c, d - 1))
+        coords.append(c if c < d else d - 1)
     return CellIndex(tuple(coords))
 
 

@@ -14,9 +14,12 @@ import numpy as np
 from moealab import (
     Counters,
     DegenerateDirectionError,
+    DimensionMismatchError,
     DominanceRelation,
     GridArchive,
+    GridSpec,
     ObjectiveVector,
+    OutOfBoundsError,
     RaySpec,
     RnArchive,
     Solution,
@@ -135,6 +138,25 @@ def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
         rest = math.sqrt(sum(d * d for d in u[k + 1 :]))
         angle = math.atan2(rest, u[k])
         coords.append(min(int(angle / quarter * k_rays), k_rays - 1))
+    return tuple(coords)
+
+
+def cell_of_oracle(v: ObjectiveVector, spec: GridSpec) -> tuple[int, ...]:
+    """The grid cell coordinates of v, by index over the components: an
+    inclusive bounds test of each, then min(int((x - lo) / (hi - lo) * d),
+    d - 1) for each. Raises what cell_of raises on another dimension or out
+    of bounds."""
+    m = len(spec.lower)
+    if len(v) != m:
+        raise DimensionMismatchError(f"dimension mismatch: {len(v)} vs {m}")
+    for k in range(m):
+        if not spec.lower[k] <= v[k] <= spec.upper[k]:
+            raise OutOfBoundsError(v, spec)
+    d = spec.divisions
+    coords = []
+    for k in range(m):
+        lo, hi = spec.lower[k], spec.upper[k]
+        coords.append(min(int((v[k] - lo) / (hi - lo) * d), d - 1))
     return tuple(coords)
 
 

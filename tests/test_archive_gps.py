@@ -47,6 +47,26 @@ class TestRayOf:
         with pytest.raises(DimensionMismatchError):
             GpsArchive(spec_k()).try_insert(sol(0, vector.values), Counters())
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ((1.0, 1.0, 1.0), DimensionMismatchError),
+            ((-0.1, 1.0), ValueError),
+            ((0.0, 0.0), DegenerateDirectionError),
+        ],
+    )
+    def test_refusal_signals_uncharged(self, values, error):
+        counters = Counters()
+        with pytest.raises(ValueError) as raised:
+            ray_of(ObjectiveVector(values), spec_k(), counters)
+        assert type(raised.value) is error
+        archive = GpsArchive(spec_k())
+        with pytest.raises(ValueError) as raised:
+            archive.try_insert(sol(0, values), counters)
+        assert type(raised.value) is error
+        assert counters.cell_lookups == 0
+        assert archive.members() == []
+
     def test_counts_lookups_only(self):
         counters = Counters()
         ray_of(ObjectiveVector((1.0, 1.0)), spec_k(), counters)
@@ -64,6 +84,26 @@ class TestRayOf:
         a = ray_of(ObjectiveVector((0.3, 0.7)), spec)
         b = ray_of(ObjectiveVector((0.6, 1.4)), spec)
         assert a == b
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="squaring the offsets underflows or overflows, so the angle "
+        "is taken from 0 or inf instead of the offset",
+    )
+    @pytest.mark.parametrize(
+        "values, true_ray",
+        [
+            # nearly vertical: 1e-340 underflows to 0, so the angle reads 0
+            ((1e-200, 1e-170), 63),
+            # diagonal: 1e400 overflows to inf, so the angle reads pi/2
+            ((1e200, 1e200), 32),
+            # 9e308 overflows to inf; the direction is atan(3) = 0.40 pi
+            ((1e154, 3e154), 50),
+        ],
+    )
+    def test_extreme_offsets_get_their_directions_ray(self, values, true_ray):
+        assert ray_of(ObjectiveVector(values), spec_k(64)).coords == (true_ray,)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from moealab import (
     CellIndex,
@@ -13,6 +15,7 @@ from moealab import (
     complexity_sweep,
 )
 from oracles import (
+    cell_of_oracle,
     members_values,
     oracle_pairwise_nondominating,
     random_solutions,
@@ -85,6 +88,68 @@ class TestCellOf:
         cell_of(ObjectiveVector((0.5, 0.5)), archive.spec, probe)
         assert probe.cell_lookups == 1
         assert probe.dominance_comparisons == 0
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cell_cases(draw):
+    """A vector and a spec with M = 2-4 and random bounds: each component
+    lies inside, on the lower or the upper bound, or anywhere (often
+    outside); one case in eight has one component more or fewer."""
+    m = draw(st.integers(2, 4))
+    lower, upper = [], []
+    for _ in range(m):
+        a, b = draw(finite), draw(finite)
+        assume(a != b)
+        lower.append(min(a, b))
+        upper.append(max(a, b))
+    values = []
+    for lo, hi in zip(lower, upper):
+        kind = draw(st.sampled_from(("inside", "lower", "upper", "any")))
+        if kind == "inside":
+            values.append(draw(st.floats(lo, hi)))
+        elif kind == "lower":
+            values.append(lo)
+        elif kind == "upper":
+            values.append(hi)
+        else:
+            values.append(draw(finite))
+    if draw(st.integers(0, 7)) == 0:
+        values = values[:-1] if m > 2 and draw(st.booleans()) else values + [0.0]
+    d = draw(st.integers(1, 4096))
+    spec = GridSpec(ObjectiveVector(lower), ObjectiveVector(upper), d)
+    return ObjectiveVector(values), spec
+
+
+def unit_case(values, divisions=4):
+    return ObjectiveVector(values), unit_spec(divisions)
+
+
+class TestCellOfMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(cell_cases())
+    @example(unit_case((1.0, 1.0), 1))
+    @example(unit_case((0.0, 1.0), 4096))
+    @example(unit_case((1.0 - 2**-53, 0.5), 4096))
+    @example(unit_case((1.5, 0.5, 0.5)))
+    @example(unit_case((0.5, -0.0)))
+    def test_coords_errors_and_charge_match_the_formula(self, case):
+        v, spec = case
+        counters = Counters()
+        try:
+            coords = cell_of_oracle(v, spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cell_of(v, spec, counters)
+            assert type(raised.value) is type(exc)
+            assert counters.cell_lookups == 0
+            return
+        index = cell_of(v, spec, counters)
+        assert index.coords == coords
+        assert index == CellIndex(coords)
+        assert counters.cell_lookups == 1
 
 
 class TestAdaptBounds:
