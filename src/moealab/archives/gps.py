@@ -54,7 +54,8 @@ def ray_of(
     Each spherical angle lies in [0, pi/2] because v >= reference componentwise;
     bin k of K covers [k*(pi/2)/K, (k+1)*(pi/2)/K) with the top edge clamped
     into the last bin. Angle k is the atan2 of the root of the squared offsets
-    after k, summed left to right, and offset k. Cost is independent of the
+    after k, summed left to right, and offset k; for M = 2 the one angle is the
+    atan2 of the two offsets themselves. Cost is independent of the
     archive size. Raises DimensionMismatchError, ValueError below the reference
     or DegenerateDirectionError at it, and charges a lookup only when it raises
     none of them.
@@ -78,9 +79,10 @@ def ray_of(
         counters.cell_lookups += 1
     k_rays = spec.rays_per_axis
     if len(u) == 2:
-        # one angle; its root of one square is the loop's, since 0 + y*y == y*y
+        # one angle, taken from the offset itself, so no square can underflow
+        # or overflow
         x, y = u
-        c = int(math.atan2(math.sqrt(y * y), x) / _QUARTER * k_rays)
+        c = int(math.atan2(abs(y), x) / _QUARTER * k_rays)
         return RayIndex((c if c < k_rays else k_rays - 1,))
     squares = list(map(mul, u, u))
     coords = []

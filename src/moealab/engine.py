@@ -8,6 +8,7 @@ The replacement count per generation parameterizes the generation gap:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -170,10 +171,19 @@ class DeteriorationTracker:
     one, and whatever a dropped row strictly dominates, that kept row strictly
     dominates too. So the history grows with the front of the evicted points,
     not with the number of evaluations.
+
+    For M = 2 that subset is a staircase (Kung, Luccio & Preparata 1975): a
+    list of tuples in increasing f1, so f2 strictly decreases, and both tests
+    and updates are a bisect. Rows with equal f1 weakly dominate each other,
+    so no two are kept. For other M the rows are an array tested with
+    weak_relations.
     """
 
     def __init__(self, m: int):
-        self._history = np.empty((0, m), dtype=float)
+        self._staircase = m == 2
+        self._history: list[tuple[float, ...]] | np.ndarray = (
+            [] if self._staircase else np.empty((0, m), dtype=float)
+        )
         self._deteriorated: set[int] = set()
 
     @property
@@ -183,6 +193,21 @@ class DeteriorationTracker:
 
     def _remember(self, rows: Iterable[tuple[float, ...]]) -> None:
         # one row at a time: rows of one batch may dominate or equal each other
+        if self._staircase:
+            history = self._history
+            for values in rows:
+                # the predecessor by f1 has the least f2 of the rows with
+                # f1 <= values[0], so it alone can weakly dominate the row
+                i = bisect_right(history, values)
+                if i and history[i - 1][1] <= values[1]:
+                    continue
+                # no kept row equals this one, so the rows from i on are those
+                # with f1 >= values[0]; it dominates them while f2 >= values[1]
+                end = i
+                while end < len(history) and history[end][1] >= values[1]:
+                    end += 1
+                history[i:end] = [values]
+            return
         for values in rows:
             covered, beaten = weak_relations(self._history, values)
             if covered.any():
@@ -191,6 +216,18 @@ class DeteriorationTracker:
             # weakly dominates it dominates
             kept = self._history[~beaten] if beaten.any() else self._history
             self._history = np.concatenate((kept, [values]))
+
+    def _dominated(self, values: tuple[float, ...]) -> bool:
+        """Whether some kept row strictly dominates `values`."""
+        history = self._history
+        if self._staircase:
+            i = bisect_right(history, values)
+            if not i:
+                return False
+            row = history[i - 1]
+            return row[1] <= values[1] and row != values
+        below, above = weak_relations(history, values)
+        return bool((below & ~above).any())
 
     def observe(
         self,
@@ -221,10 +258,8 @@ class DeteriorationTracker:
                             m.id for m, hit in zip(members, beaten.tolist()) if hit
                         )
             self._remember(rows)
-        if accepted and len(self._history):
-            below, above = weak_relations(self._history, candidate.objectives.values)
-            if (below & ~above).any():
-                self._deteriorated.add(candidate.id)
+        if accepted and len(self._history) and self._dominated(candidate.objectives.values):
+            self._deteriorated.add(candidate.id)
 
     def count(self) -> int:
         return len(self._deteriorated)

@@ -117,8 +117,9 @@ class ScalarSweepGrid(GridArchive):
 def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
     """The angular bin coordinates of v's direction from the reference, by a
     loop over the components: each offset is tested as it is taken, and each
-    angle sums its squares left to right in a generator. Raises what ray_of
-    raises below or at the reference."""
+    angle sums its squares left to right in a generator, except that the one
+    angle of M = 2 takes the second offset itself. Raises what ray_of raises
+    below or at the reference."""
     u = []
     for x, r in zip(v, spec.reference):
         delta = x - r
@@ -135,7 +136,10 @@ def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
     quarter = math.pi / 2.0
     coords = []
     for k in range(len(u) - 1):
-        rest = math.sqrt(sum(d * d for d in u[k + 1 :]))
+        if len(u) == 2:
+            rest = abs(u[1])
+        else:
+            rest = math.sqrt(sum(d * d for d in u[k + 1 :]))
         angle = math.atan2(rest, u[k])
         coords.append(min(int(angle / quarter * k_rays), k_rays - 1))
     return tuple(coords)

@@ -85,20 +85,16 @@ class TestRayOf:
         b = ray_of(ObjectiveVector((0.6, 1.4)), spec)
         assert a == b
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="squaring the offsets underflows or overflows, so the angle "
-        "is taken from 0 or inf instead of the offset",
-    )
     @pytest.mark.parametrize(
         "values, true_ray",
         [
-            # nearly vertical: 1e-340 underflows to 0, so the angle reads 0
+            # nearly vertical: squared, 1e-170 would underflow to 0 and the
+            # angle would read 0
             ((1e-200, 1e-170), 63),
-            # diagonal: 1e400 overflows to inf, so the angle reads pi/2
+            # diagonal: squared, 1e200 would overflow to inf and the angle
+            # would read pi/2
             ((1e200, 1e200), 32),
-            # 9e308 overflows to inf; the direction is atan(3) = 0.40 pi
+            # 9e308 would overflow to inf; the direction is atan(3) = 0.40 pi
             ((1e154, 3e154), 50),
         ],
     )

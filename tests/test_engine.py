@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moealab import (
     ArchiveConfig,
@@ -33,14 +35,24 @@ def assert_history_is_evicted_front(tracker, evicted):
     # the tracker's rows, as a set and without repeats, are the nondominated
     # subset of every point evicted so far
     values = sorted({s.objectives.values for s in evicted})
-    rows = [tuple(row) for row in tracker._history.tolist()]
+    rows = history_rows(tracker)
     assert len(rows) == len(set(rows))
     assert set(rows) == {values[i] for i in oracle_front_indices(values)}
 
 
 def history_rows(tracker):
-    # in order: kept rows keep their places and a new row goes last
-    return [tuple(row) for row in tracker._history.tolist()]
+    # in the tracker's order, from an (n, M) array or from a list of tuples
+    return [tuple(map(float, row)) for row in tracker._history]
+
+
+def assert_staircase(rows):
+    # an M = 2 nondominated set in increasing f1 has strictly decreasing f2
+    assert all(a[0] < b[0] and a[1] > b[1] for a, b in zip(rows, rows[1:]))
+
+
+def signed_row_set(rows):
+    # repr tells -0.0 from 0.0, so the set shows which of two equal rows was kept
+    return {repr(row) for row in rows}
 
 
 class StubStore:
@@ -58,9 +70,15 @@ class StubStore:
 
 class PairedTracker:
     """DeteriorationTracker and TrackerOracle fed the same calls; after every
-    observe their counts, deteriorated ids and history rows must agree."""
+    observe their counts, deteriorated ids and history rows must agree.
+
+    The oracle keeps rows in eviction order: a kept row keeps its place and a
+    new row goes last. For M = 2 the tracker keeps a staircase, whose order
+    its values fix, so there the rows must form a staircase and equal the
+    oracle's as a set; for other M they must equal the oracle's in order."""
 
     def __init__(self, m):
+        self.m = m
         self.tracker = DeteriorationTracker(m)
         self.oracle = TrackerOracle(m)
         self.peak = 0
@@ -70,11 +88,32 @@ class PairedTracker:
         self.oracle.observe(archive, candidate, accepted, newly_evicted)
         assert self.tracker.count() == self.oracle.count()
         assert self.tracker._deteriorated == self.oracle._deteriorated
-        assert history_rows(self.tracker) == history_rows(self.oracle)
+        rows, expected = history_rows(self.tracker), history_rows(self.oracle)
+        if self.m == 2:
+            assert_staircase(rows)
+            assert len(rows) == len(expected)
+            assert signed_row_set(rows) == signed_row_set(expected)
+        else:
+            assert rows == expected
         self.peak = max(self.peak, self.tracker.count())
 
     def count(self):
         return self.tracker.count()
+
+
+# lattice coordinates with both signs of zero, so that rows share f1 or f2,
+# repeat, and compare equal while their reprs differ
+lattice_coordinate = st.sampled_from((-0.0, 0.0, 1.0, 2.0, 3.0))
+# per step: the candidate's objectives, whether it is accepted, and the
+# positions of the members that leave
+tracker_steps = st.lists(
+    st.tuples(
+        st.tuples(lattice_coordinate, lattice_coordinate),
+        st.booleans(),
+        st.frozensets(st.integers(0, 11)),
+    ),
+    max_size=60,
+)
 
 
 def small_config(**overrides):
@@ -469,6 +508,36 @@ class TestRun:
             paired.observe(store, candidate, accepted, evicted)
         assert multi > 20 and duplicates > 0 and dominating > 10
         assert paired.peak > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(tracker_steps)
+    # (0.0, 1.0) leaves, then the equal (-0.0, 1.0): the first stays kept
+    @example([
+        ((0.0, 1.0), True, frozenset()),
+        ((-0.0, 1.0), True, frozenset()),
+        ((3.0, 3.0), False, frozenset({0})),
+        ((3.0, 3.0), False, frozenset({0})),
+    ])
+    # one batch of two equal rows and a row both of them dominate
+    @example([
+        ((2.0, 2.0), True, frozenset()),
+        ((1.0, 1.0), True, frozenset()),
+        ((1.0, 1.0), True, frozenset()),
+        ((0.0, 3.0), True, frozenset()),
+        ((3.0, 0.0), True, frozenset({0, 1, 2})),
+    ])
+    def test_staircase_matches_the_broadcast_tracker(self, steps):
+        # a stub's members need not be nondominated, so one eviction batch can
+        # hold duplicates and rows that dominate one another
+        paired = PairedTracker(2)
+        store = StubStore()
+        for i, (values, accepted, picks) in enumerate(steps):
+            candidate = sol(i, values)
+            evicted = [m for k, m in enumerate(store.current) if k in picks]
+            store.current = [m for m in store.current if m not in evicted]
+            if accepted:
+                store.current.append(candidate)
+            paired.observe(store, candidate, accepted, evicted)
 
     def test_tracker_matches_the_broadcast_tracker_in_runs(self, monkeypatch):
         monkeypatch.setattr(engine, "DeteriorationTracker", PairedTracker)

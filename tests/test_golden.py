@@ -205,6 +205,40 @@ def test_summary_matches_pinned_values(config, comparisons, front_size, deterior
     assert summary["evaluations"] == config.max_evaluations
 
 
+# (config, sum and max of deterioration_events over every generation's stats):
+# most summaries above end with 0 events, so these pin the count mid-run,
+# while the tracker's history and the archive change
+GRID_SCH_CAP20 = dict(
+    problem="sch",
+    archive=ArchiveConfig("grid", capacity=20),
+    population_size=40,
+    max_evaluations=3000,
+)
+RN_ZDT1_CAP20 = dict(
+    problem="zdt1",
+    archive=ArchiveConfig("rn", capacity=20),
+    population_size=40,
+    preset=3,
+    max_evaluations=2000,
+)
+TRAJECTORY_GOLDEN = [
+    (RunConfig(**GRID_SCH_CAP20, seed=0), 349, 1),
+    (RunConfig(**GRID_SCH_CAP20, seed=1), 367, 1),
+    (RunConfig(**RN_ZDT1_CAP20, seed=0), 2130, 4),
+    (RunConfig(**RN_ZDT1_CAP20, seed=1), 1903, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "config, total, peak",
+    TRAJECTORY_GOLDEN,
+    ids=["grid-sch-cap20-s0", "grid-sch-cap20-s1", "rn-zdt1-cap20-s0", "rn-zdt1-cap20-s1"],
+)
+def test_deterioration_trajectory_matches_pinned_values(config, total, peak):
+    events = [stats.deterioration_events for stats in run(config).stats]
+    assert (sum(events), max(events)) == (total, peak)
+
+
 # complexity_sweep at the sizes of the benchmark's archive-sweep workload, as
 # repr(report.to_dict()), so the slope and its interval are pinned to the last
 # bit. rn and grid charge exactly the size on this stream; gps's means depend
