@@ -7,11 +7,18 @@ membership changed (the outcome), so the engine can stay archiver-agnostic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..core import Counters, Solution, nondominated_filter, weak_relations
+from ..core import (
+    Counters,
+    DimensionMismatchError,
+    Solution,
+    nondominated_filter,
+    weak_relations,
+)
 
 
 class InsertOutcome(NamedTuple):
@@ -84,11 +91,23 @@ class Archive(ABC):
 
 
 class NondominatedStore(Archive):
-    """An archive whose members never weakly dominate one another, with their
-    objectives kept as an (n, M) array whose row i is member i's objectives.
+    """An archive whose members never weakly dominate one another.
 
-    Every change of membership goes through _append, _retain and _drop, which
-    keep the list and the array in step.
+    `_members` is in member order, which is insertion order: _append appends,
+    and _remove keeps the order of the rest. Every change of membership goes
+    through those two. The first member fixes the number of objectives M,
+    which selects how the store answers the dominance sweep:
+
+    - M = 2: the members' objective tuples also form a staircase, sorted by
+      increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
+      Each stair is paired with its member's insertion sequence number; the
+      numbers increase along `_members`, so a member's position is one
+      bisect_left of its number.
+    - other M: an (n, M) array whose row i is member i's objectives.
+
+    `_objectives` is that array for every M; at M = 2 it is built on the
+    first read after a change of membership. Either way it is replaced, never
+    mutated, so a reference to it is a snapshot.
 
     No departure can dominate a member left after the insertion. Members
     never dominate one another, no member weakly dominates a candidate that
@@ -100,50 +119,110 @@ class NondominatedStore(Archive):
 
     def __init__(self) -> None:
         self._members: list[Solution] = []
-        self._objectives = np.empty((0, 0))
+        self._bi_objective = False
+        # None while M = 2 and the array is not built since the last change
+        self._rows: np.ndarray | None = np.empty((0, 0))
+        # M = 2 only: sequence numbers in member order, and the staircase with
+        # the sequence number of each stair's member
+        self._seqs: list[int] = []
+        self._stairs: list[tuple[float, ...]] = []
+        self._stair_seqs: list[int] = []
+        self._next_seq = 0
 
     def members(self) -> list[Solution]:
         return list(self._members)
 
-    def _sweep(self, candidate: Solution, counters: Counters) -> np.ndarray | None:
+    @property
+    def _objectives(self) -> np.ndarray:
+        """The members' objectives as an (n, M) array, row i for member i."""
+        if self._rows is None:
+            self._rows = np.array(
+                [m.objectives.values for m in self._members], dtype=float
+            )
+        return self._rows
+
+    def _position(self, seq: int) -> int:
+        """The member-order position of the member with sequence number `seq`
+        (M = 2)."""
+        return bisect_left(self._seqs, seq)
+
+    def _sweep(self, candidate: Solution, counters: Counters) -> list[int] | None:
         """Test the candidate against every member: None when some member
-        weakly dominates it (rejection), else the mask of members it dominates.
+        weakly dominates it (rejection), else the ascending positions of the
+        members it dominates.
 
         Charges what a member-order scan with one compare() per member would:
         up to and including the first rejecting member, otherwise all of them.
         """
         n = len(self._members)
         if not n:
-            return np.zeros(0, dtype=bool)
-        covers, beaten = weak_relations(self._objectives, candidate.objectives.values)
-        first = int(covers.argmax())
-        if covers[first]:
+            return []
+        v = candidate.objectives.values
+        if not self._bi_objective:
+            covers, beaten = weak_relations(self._rows, v)
+            first = int(covers.argmax())
+            if covers[first]:
+                counters.dominance_comparisons += first + 1
+                return None
+            counters.dominance_comparisons += n
+            # no member weakly dominates the candidate, so every member it
+            # weakly dominates it dominates
+            return np.flatnonzero(beaten).tolist()
+        if len(v) != 2:
+            raise DimensionMismatchError(f"dimension mismatch: 2 vs {len(v)}")
+        stairs = self._stairs
+        y = v[1]
+        # stairs before i have f1 <= v[0], and the last of them the least f2
+        i = bisect_right(stairs, v)
+        if i and stairs[i - 1][1] <= y:
+            # the members that weakly dominate v are the run ending at i - 1
+            # while f2 <= y; the scan stops at the earliest in member order
+            start = i - 1
+            while start and stairs[start - 1][1] <= y:
+                start -= 1
+            first = self._position(min(self._stair_seqs[start:i]))
             counters.dominance_comparisons += first + 1
             return None
         counters.dominance_comparisons += n
-        # no member weakly dominates the candidate, so every member it weakly
-        # dominates it dominates
-        return beaten
+        # stairs from i on have f1 >= v[0]; v dominates the run while f2 >= y
+        end = i
+        while end < len(stairs) and stairs[end][1] >= y:
+            end += 1
+        return sorted(map(self._position, self._stair_seqs[i:end]))
 
     def _append(self, member: Solution) -> None:
-        row = np.array([member.objectives.values], dtype=float)
-        self._objectives = (
-            np.concatenate((self._objectives, row)) if self._members else row
-        )
+        values = member.objectives.values
+        if not self._members:
+            self._bi_objective = len(values) == 2
+        if self._bi_objective:
+            seq = self._next_seq
+            self._next_seq += 1
+            self._seqs.append(seq)
+            at = bisect_right(self._stairs, values)
+            self._stairs.insert(at, values)
+            self._stair_seqs.insert(at, seq)
+            self._rows = None
+        else:
+            row = np.array([values], dtype=float)
+            self._rows = np.concatenate((self._rows, row)) if self._members else row
         self._members.append(member)
 
-    def _retain(self, keep: np.ndarray) -> list[Solution]:
-        """Keep the members where the boolean mask is set, in their order;
-        returns the others, in member order."""
-        flags = keep.tolist()
-        dropped = [m for m, k in zip(self._members, flags) if not k]
-        if dropped:
-            self._members = [m for m, k in zip(self._members, flags) if k]
-            self._objectives = self._objectives[keep]
-        return dropped
-
-    def _drop(self, index: int) -> Solution:
-        """Remove and return the member at `index`, with its row."""
-        rows = self._objectives
-        self._objectives = np.concatenate((rows[:index], rows[index + 1 :]))
-        return self._members.pop(index)
+    def _remove(self, positions: Sequence[int]) -> list[Solution]:
+        """Remove the members at the ascending `positions`, keeping the order
+        of the rest; returns them, in member order."""
+        members = self._members
+        departed = [members[p] for p in positions]
+        for p in reversed(positions):
+            del members[p]
+        if self._bi_objective:
+            for p in reversed(positions):
+                del self._seqs[p]
+            for m in departed:
+                # members are mutually nondominated, so no two share a tuple
+                at = bisect_left(self._stairs, m.objectives.values)
+                del self._stairs[at]
+                del self._stair_seqs[at]
+            self._rows = None
+        else:
+            self._rows = np.delete(self._rows, positions, axis=0)
+        return departed

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -54,8 +54,9 @@ def ray_of(
     Each spherical angle lies in [0, pi/2] because v >= reference componentwise;
     bin k of K covers [k*(pi/2)/K, (k+1)*(pi/2)/K) with the top edge clamped
     into the last bin. Angle k is the atan2 of the root of the squared offsets
-    after k, summed left to right, and offset k; for M = 2 the one angle is the
-    atan2 of the two offsets themselves. Cost is independent of the
+    after k, summed left to right, and offset k, all first scaled by the power
+    of two that brings the largest of them into [0.5, 1); for M = 2 the one
+    angle is the atan2 of the two offsets themselves. Cost is independent of the
     archive size. Raises DimensionMismatchError, ValueError below the reference
     or DegenerateDirectionError at it, and charges a lookup only when it raises
     none of them.
@@ -84,10 +85,15 @@ def ray_of(
         x, y = u
         c = int(math.atan2(abs(y), x) / _QUARTER * k_rays)
         return RayIndex((c if c < k_rays else k_rays - 1,))
-    squares = list(map(mul, u, u))
     coords = []
     for k in range(len(u) - 1):
-        angle = math.atan2(math.sqrt(sum(squares[k + 1 :])), u[k])
+        # scaled by the power of two that brings the largest of the offsets
+        # from k on into [0.5, 1), none of their squares overflows and the
+        # largest does not underflow. The scaling is exact but for offsets
+        # more than 2**1000 below the largest, too small to move a bin
+        e = -math.frexp(max(u[k:]))[1]
+        x, *rest = [math.ldexp(d, e) for d in u[k:]]
+        angle = math.atan2(math.sqrt(sum([d * d for d in rest])), x)
         c = int(angle / _QUARTER * k_rays)
         coords.append(c if c < k_rays else k_rays - 1)
     return RayIndex(tuple(coords))

@@ -108,7 +108,7 @@ class GridArchive(NondominatedStore):
             outcome = InsertOutcome.of(False, ())
             return outcome, FeedbackSignal(False, len(self._members))
 
-        departed = self._retain(~beaten) if beaten.any() else []
+        departed = self._remove(beaten) if beaten else []
         for m in departed:
             self._vacate(m)
 
@@ -127,7 +127,7 @@ class GridArchive(NondominatedStore):
                 index = next(
                     i for i, m in enumerate(self._members) if m.id == victim_id
                 )
-                victim = self._drop(index)
+                (victim,) = self._remove([index])
                 self._vacate(victim)
                 departed.append(victim)
         kept = len(self._members) < self.capacity

@@ -9,6 +9,8 @@ later-retained one (see the deterioration tests).
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +34,8 @@ class RnArchive(NondominatedStore):
         beaten = self._sweep(candidate, counters)
         departed: list[Solution] = []
         if beaten is not None:
-            if beaten.any():
-                departed = self._retain(~beaten)
+            if beaten:
+                departed = self._remove(beaten)
             self._append(candidate)
             if len(self._members) > self.capacity:
                 departed += self.cluster_truncate()
@@ -55,6 +57,8 @@ class RnArchive(NondominatedStore):
         """
         if len(self._members) <= self.capacity:
             return []
+        if self._bi_objective:
+            return self._remove([self._staircase_victim()])
         dist = pairwise_distances(self._objectives)
         np.fill_diagonal(dist, np.inf)
         # dist is symmetric, so each tied pair shows up as (i, j) and (j, i);
@@ -67,7 +71,42 @@ class RnArchive(NondominatedStore):
             for row, col in (divmod(hit, len(members)) for hit in ties)
             if members[row].id > members[col].id
         )
-        return [self._drop(victim)]
+        return self._remove([victim])
+
+    def _staircase_victim(self) -> int:
+        """The position of cluster_truncate's victim at M = 2, from the gaps
+        between neighbouring stairs.
+
+        Moving along the staircase away from a stair grows both |df1| and
+        |df2|, and rounding is monotone, so no pair is closer than the least
+        neighbour gap, and a pair ties it only if it starts at a gap equal to
+        it. Each distance is the float pairwise_distances computes: 0.0 plus
+        the first square is exact, then the second square is added.
+        """
+        stairs = self._stairs
+        gaps = [
+            _distance(a, b) for a, b in zip(stairs, itertools.islice(stairs, 1, None))
+        ]
+        least = min(gaps)
+        members = self._members
+        best = None
+        for i, gap in enumerate(gaps):
+            if gap != least:
+                continue
+            # the stairs after i that tie the least gap form a run; it is
+            # longer than one only where distances round to 0 or overflow
+            j = i + 1
+            while True:
+                a, b = (self._position(self._stair_seqs[k]) for k in (i, j))
+                if members[a].id > members[b].id:
+                    a, b = b, a
+                key = (members[a].id, members[b].id, b)
+                if best is None or key < best:
+                    best = key
+                j += 1
+                if j == len(stairs) or _distance(stairs[i], stairs[j]) != least:
+                    break
+        return best[2]
 
     def strength_fitness(
         self, population: Sequence[Solution], counters: Counters | None = None
@@ -100,3 +139,11 @@ class RnArchive(NondominatedStore):
         terms[0] = 1.0
         np.multiply(strict, strengths[:, None], out=terms[1:])
         return np.add.accumulate(terms, axis=0)[-1].tolist()
+
+
+def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """The Euclidean distance between two bi-objective points, summing the
+    squares in pairwise_distances' order."""
+    d0 = b[0] - a[0]
+    d1 = b[1] - a[1]
+    return math.sqrt(d0 * d0 + d1 * d1)

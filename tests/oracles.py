@@ -87,28 +87,29 @@ def strength_fitness_oracle(
 
 def scalar_sweep(
     members: list[Solution], candidate: Solution, counters: Counters
-) -> np.ndarray | None:
+) -> list[int] | None:
     """The archive sweep as one compare() per member in member order, stopping
     at the first member that dominates or equals the candidate (None then);
-    otherwise the mask of members the candidate dominates."""
+    otherwise the positions of the members the candidate dominates."""
     beaten = []
-    for m in members:
+    for i, m in enumerate(members):
         rel = compare(candidate.objectives, m.objectives, counters)
         if rel is DominanceRelation.DOMINATED_BY or rel is DominanceRelation.EQUAL:
             return None
-        beaten.append(rel is DominanceRelation.DOMINATES)
-    return np.array(beaten, dtype=bool)
+        if rel is DominanceRelation.DOMINATES:
+            beaten.append(i)
+    return beaten
 
 
 class ScalarSweepRn(RnArchive):
-    """RnArchive with the broadcast sweep replaced by scalar_sweep."""
+    """RnArchive with the store's sweep replaced by scalar_sweep."""
 
     def _sweep(self, candidate, counters):
         return scalar_sweep(self._members, candidate, counters)
 
 
 class ScalarSweepGrid(GridArchive):
-    """GridArchive with the broadcast sweep replaced by scalar_sweep."""
+    """GridArchive with the store's sweep replaced by scalar_sweep."""
 
     def _sweep(self, candidate, counters):
         return scalar_sweep(self._members, candidate, counters)
@@ -117,9 +118,10 @@ class ScalarSweepGrid(GridArchive):
 def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
     """The angular bin coordinates of v's direction from the reference, by a
     loop over the components: each offset is tested as it is taken, and each
-    angle sums its squares left to right in a generator, except that the one
-    angle of M = 2 takes the second offset itself. Raises what ray_of raises
-    below or at the reference."""
+    angle scales the offsets from k on by 2**-e, with e the binary exponent of
+    the largest of them, and sums their squares left to right in a generator,
+    except that the one angle of M = 2 takes the second offset itself. Raises
+    what ray_of raises below or at the reference."""
     u = []
     for x, r in zip(v, spec.reference):
         delta = x - r
@@ -137,10 +139,12 @@ def ray_of_oracle(v: ObjectiveVector, spec: RaySpec) -> tuple[int, ...]:
     coords = []
     for k in range(len(u) - 1):
         if len(u) == 2:
-            rest = abs(u[1])
+            angle = math.atan2(abs(u[1]), u[0])
         else:
-            rest = math.sqrt(sum(d * d for d in u[k + 1 :]))
-        angle = math.atan2(rest, u[k])
+            e = math.frexp(max(u[k:]))[1]
+            scaled = [math.ldexp(d, -e) for d in u[k:]]
+            rest = math.sqrt(sum(d * d for d in scaled[1:]))
+            angle = math.atan2(rest, scaled[0])
         coords.append(min(int(angle / quarter * k_rays), k_rays - 1))
     return tuple(coords)
 
@@ -238,7 +242,9 @@ class OracleTruncateRn(RnArchive):
     def cluster_truncate(self):
         _, kept = cluster_truncate_oracle(self._members, self.capacity)
         stay = set(kept)
-        return self._retain(np.array([m.id in stay for m in self._members], dtype=bool))
+        return self._remove(
+            [i for i, m in enumerate(self._members) if m.id not in stay]
+        )
 
 
 def oracle_deterioration_count(

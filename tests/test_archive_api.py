@@ -5,6 +5,7 @@ import pytest
 
 from moealab import (
     Counters,
+    DimensionMismatchError,
     GpsArchive,
     GridArchive,
     GridSpec,
@@ -65,6 +66,28 @@ def test_store_objectives_follow_members(kind):
         assert archive._objectives.tolist() == [
             list(m.objectives.values) for m in archive.members()
         ]
+
+
+@pytest.mark.parametrize("m, other", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("kind", ("rn", "grid"))
+def test_store_refuses_a_candidate_of_another_dimension(kind, m, other):
+    """The first member fixes M: a candidate of another dimension raises
+    before anything is charged, and the members stay as they were."""
+    if kind == "rn":
+        archive = RnArchive(CAPACITY)
+    else:
+        spec = GridSpec(ObjectiveVector((0.0,) * m), ObjectiveVector((1.0,) * m), 8)
+        archive = GridArchive(CAPACITY, spec)
+    counters = Counters()
+    for s in random_solutions(np.random.default_rng(3), 20, m=m):
+        archive.try_insert(s, counters)
+    before = archive.members()
+    charged = Counters(**vars(counters))
+    with pytest.raises(DimensionMismatchError):
+        archive.try_insert(sol(99, (0.5,) * other), counters)
+    assert counters == charged
+    assert archive.members() == before
+    assert archive._objectives.tolist() == [list(s.objectives.values) for s in before]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -101,6 +101,23 @@ class TestRayOf:
     def test_extreme_offsets_get_their_directions_ray(self, values, true_ray):
         assert ray_of(ObjectiveVector(values), spec_k(64)).coords == (true_ray,)
 
+    @pytest.mark.parametrize(
+        "values, true_rays",
+        [
+            # the direction of (1, 1, 1); unscaled, every square overflows
+            ((1e200, 1e200, 1e200), (38, 32)),
+            # nearly along the last two axes, on the diagonal of their plane;
+            # unscaled, every square underflows
+            ((1e-200, 1e-170, 1e-170), (63, 32)),
+        ],
+    )
+    def test_extreme_offsets_at_three_objectives_get_their_directions_rays(
+        self, values, true_rays
+    ):
+        spec = spec_k(64, (0.0, 0.0, 0.0))
+        assert ray_of(ObjectiveVector(values), spec).coords == true_rays
+        assert ray_of_oracle(ObjectiveVector(values), spec) == true_rays
+
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 

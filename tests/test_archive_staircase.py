@@ -1,0 +1,119 @@
+"""At M = 2 the rn and grid stores answer the sweep from their staircase, and
+rn finds its closest pair among neighbouring stairs. Driven side by side with
+the scalar compare() sweep and, for rn, the average-linkage pair scan, they
+must agree after every insertion on the outcome, the order of the
+departures, the member order and the counters. The streams are the ones a
+staircase can get wrong: points sharing f1 or f2, duplicates and candidates
+equal to a member, -0.0 beside 0.0, and points so close that their distances
+round to 0 and tie far beyond neighbouring stairs."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moealab import Counters, GridArchive, GridSpec, ObjectiveVector, RnArchive
+from oracles import OracleTruncateRn, ScalarSweepGrid, ScalarSweepRn, sol
+
+
+class OracleRn(ScalarSweepRn, OracleTruncateRn):
+    """RnArchive sweeping with scalar_sweep and truncating with
+    cluster_truncate_oracle."""
+
+
+UNIT_SPEC = GridSpec(ObjectiveVector((0.0, 0.0)), ObjectiveVector((1.0, 1.0)), 4)
+
+ARCHIVES = {
+    "rn": (RnArchive, OracleRn),
+    "grid": (
+        lambda capacity: GridArchive(capacity, UNIT_SPEC),
+        lambda capacity: ScalarSweepGrid(capacity, UNIT_SPEC),
+    ),
+}
+
+
+def near_diagonal(top):
+    # integer points on or just above f1 + f2 = top: mostly mutually
+    # nondominated, sharing f1 or f2, and some of them dominated
+    return st.tuples(st.integers(0, top), st.integers(0, 2)).map(
+        lambda p: (p[0], top - p[0] + p[1])
+    )
+
+
+def scaled(points, scale):
+    return points.map(lambda p: (p[0] * scale, p[1] * scale))
+
+
+@st.composite
+def streams(draw, points):
+    """Up to 60 points, each new or a repeat of an earlier one, with ids
+    permuted against the order of arrival."""
+    stream = []
+    for _ in range(draw(st.integers(1, 60))):
+        if stream and draw(st.integers(0, 4)) == 0:
+            stream.append(draw(st.sampled_from(stream)))
+        else:
+            stream.append(draw(points))
+    ids = draw(st.permutations(range(len(stream))))
+    return list(zip(ids, stream))
+
+
+STREAMS = {
+    "lattice": streams(scaled(near_diagonal(8), 1.0)),
+    "signed_zero": streams(
+        st.tuples(*[st.sampled_from((-0.0, 0.0, 1.0, 2.0, 3.0))] * 2)
+    ),
+    # multiples of one tiny scale: at 5e-324 every distance rounds to 0, at
+    # 1e-160 some do
+    "close": st.sampled_from((5e-324, 1e-160, 1e-154)).flatmap(
+        lambda scale: streams(scaled(near_diagonal(12), scale))
+    ),
+}
+
+
+def check_against_oracle(kind, capacity, stream):
+    make, make_oracle = ARCHIVES[kind]
+    archive, oracle = make(capacity), make_oracle(capacity)
+    counters, oracle_counters = Counters(), Counters()
+    arrival = {}
+    for order, (sid, values) in enumerate(stream):
+        candidate = sol(sid, values)
+        arrival[sid] = order
+        got = archive.try_insert(candidate, counters)
+        want = oracle.try_insert(candidate, oracle_counters)
+        assert got == want
+        assert [d.id for d in got[0].departed] == [d.id for d in want[0].departed]
+        members = [m.id for m in archive.members()]
+        assert members == [m.id for m in oracle.members()]
+        # member order is the order of arrival
+        assert [arrival[i] for i in members] == sorted(arrival[i] for i in members)
+        assert counters == oracle_counters
+        if kind == "grid":
+            assert archive.spec == oracle.spec
+            assert archive.cell_occupancy() == oracle.cell_occupancy()
+    assert archive._objectives.tolist() == [
+        list(m.objectives.values) for m in archive.members()
+    ]
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("kind", sorted(ARCHIVES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_staircase_store_matches_the_scalar_oracles(kind, stream, data):
+    capacity = data.draw(st.integers(1, 12), label="capacity")
+    check_against_oracle(kind, capacity, data.draw(STREAMS[stream], label="stream"))
+
+
+def test_zero_distances_tie_beyond_neighbouring_stairs():
+    # all pairwise distances round to 0, so the pair (0, 1) decides, though
+    # ids 0 and 1 are not neighbours on the staircase
+    tiny = math.ulp(0.0)
+    stream = [(2, (0.0, 3 * tiny)), (0, (tiny, 2 * tiny)), (3, (2 * tiny, tiny)),
+              (1, (3 * tiny, 0.0))]
+    check_against_oracle("rn", 3, stream)
+    archive = RnArchive(3)
+    for sid, values in stream:
+        outcome, _ = archive.try_insert(sol(sid, values), Counters())
+    assert [d.id for d in outcome.departed] == [1]

@@ -1,10 +1,11 @@
-"""The rn and grid archives sweep a candidate against an (n, M) objective array
-with core.weak_relations. Driven side by side with the same archives using a
-scalar compare() sweep, they must agree on every outcome, eviction, member
-order and counter, and the array must hold the members' objectives row for
-row after every insertion. On the same streams, no solution an insertion
-removes may dominate a member left after it: the property both stores
-declare, which lets the deterioration tracker skip that test."""
+"""The rn and grid archives sweep a candidate against their staircase at M = 2
+and against an (n, M) objective array with core.weak_relations otherwise.
+Driven side by side with the same archives using a scalar compare() sweep,
+they must agree on every outcome, eviction, member order and counter, and
+the array must hold the members' objectives row for row after every
+insertion. On the same streams, no solution an insertion removes may
+dominate a member left after it: the property both stores declare, which
+lets the deterioration tracker skip that test."""
 
 import itertools
 
@@ -31,9 +32,6 @@ from oracles import (
     sol,
 )
 
-UNIT_SPEC = GridSpec(ObjectiveVector((0.0, 0.0)), ObjectiveVector((1.0, 1.0)), 4)
-
-
 def tradeoff_stream(seed, count):
     # near the line f1 + f2 = 1, so most points are mutually incomparable and
     # the archives fill up and must truncate or evict by crowding
@@ -57,19 +55,34 @@ def escaping_stream(seed, count):
     return [(3.0 * x - 1.0, 3.0 * y - 1.0) for x, y in tradeoff_stream(seed, count)]
 
 
+def simplex_stream(seed, count):
+    # three objectives near the plane f1 + f2 + f3 = 1, so the stores keep
+    # the (n, M) array and sweep it with weak_relations
+    rng = np.random.default_rng(seed)
+    points = rng.dirichlet((1.0, 1.0, 1.0), count)
+    points += rng.normal(0.0, 0.03, points.shape)
+    return [tuple(float(max(0.0, x)) for x in p) for p in points]
+
+
 STREAMS = {
     "tradeoff": tradeoff_stream,
     "lattice": lattice_stream,
     "escaping": escaping_stream,
+    "simplex3": simplex_stream,
 }
 
+
+def unit_spec(m):
+    return GridSpec(ObjectiveVector((0.0,) * m), ObjectiveVector((1.0,) * m), 4)
+
+
 # capacity 8 is far below what the streams offer, so every stream truncates
-# (rn) or evicts by crowding (grid)
+# (rn) or evicts by crowding (grid); each factory takes the stream's M
 ARCHIVES = {
-    "rn": (lambda: RnArchive(8), lambda: ScalarSweepRn(8)),
+    "rn": (lambda m: RnArchive(8), lambda m: ScalarSweepRn(8)),
     "grid": (
-        lambda: GridArchive(8, UNIT_SPEC),
-        lambda: ScalarSweepGrid(8, UNIT_SPEC),
+        lambda m: GridArchive(8, unit_spec(m)),
+        lambda m: ScalarSweepGrid(8, unit_spec(m)),
     ),
 }
 
@@ -85,13 +98,14 @@ def state(archive, departed):
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 @pytest.mark.parametrize("kind", sorted(ARCHIVES))
 def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
+    points = STREAMS[stream](seed, 300)
     make, make_oracle = ARCHIVES[kind]
-    archive, oracle = make(), make_oracle()
+    archive, oracle = make(len(points[0])), make_oracle(len(points[0]))
     counters, oracle_counters = Counters(), Counters()
     seen = {"equal_rejected": 0, "evicted_undominated": 0, "bounds_adapted": 0}
     # every solution that left each store, collected from the outcomes
     departed, oracle_departed = [], []
-    for i, values in enumerate(STREAMS[stream](seed, 300)):
+    for i, values in enumerate(points):
         candidate = sol(i, values)
         before = {m.id: m for m in archive.members()}
         equals_member = any(
@@ -182,10 +196,11 @@ def departures_dominating_members(archive, candidates):
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 @pytest.mark.parametrize("kind", sorted(ARCHIVES))
 def test_no_departure_dominates_a_member_left(kind, stream, seed):
+    points = STREAMS[stream](seed, 300)
     make, _ = ARCHIVES[kind]
-    archive = make()
+    archive = make(len(points[0]))
     assert archive.departures_dominate_no_member
-    candidates = [sol(i, values) for i, values in enumerate(STREAMS[stream](seed, 300))]
+    candidates = [sol(i, values) for i, values in enumerate(points)]
     hits, departures = departures_dominating_members(archive, candidates)
     assert hits == 0
     assert departures > 0
