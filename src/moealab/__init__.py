@@ -7,7 +7,6 @@ import numpy.random  # noqa: F401
 
 from .archives import (
     Archive,
-    CellIndex,
     DegenerateDirectionError,
     FeedbackSignal,
     GpsArchive,
@@ -15,7 +14,6 @@ from .archives import (
     GridSpec,
     InsertOutcome,
     OutOfBoundsError,
-    RayIndex,
     RaySpec,
     RnArchive,
     cell_of,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Archive",
     "ArchiveConfig",
-    "CellIndex",
     "ComplexityReport",
     "ConfigError",
     "Counters",
@@ -92,7 +89,6 @@ __all__ = [
     "ObjectiveVector",
     "OutOfBoundsError",
     "ProblemSpec",
-    "RayIndex",
     "RaySpec",
     "RnArchive",
     "RunConfig",

@@ -1,11 +1,10 @@
 from .base import Archive, FeedbackSignal, InsertOutcome
-from .gps import DegenerateDirectionError, GpsArchive, RayIndex, RaySpec, ray_of
-from .grid import CellIndex, GridArchive, GridSpec, OutOfBoundsError, cell_of
+from .gps import DegenerateDirectionError, GpsArchive, RaySpec, ray_of
+from .grid import GridArchive, GridSpec, OutOfBoundsError, cell_of
 from .rn import RnArchive
 
 __all__ = [
     "Archive",
-    "CellIndex",
     "DegenerateDirectionError",
     "FeedbackSignal",
     "GpsArchive",
@@ -13,7 +12,6 @@ __all__ = [
     "GridSpec",
     "InsertOutcome",
     "OutOfBoundsError",
-    "RayIndex",
     "RaySpec",
     "RnArchive",
     "cell_of",

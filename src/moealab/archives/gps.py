@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from operator import sub
 from types import MappingProxyType
-from typing import NamedTuple
 
 from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
 from .base import Archive, FeedbackSignal, InsertOutcome
@@ -40,15 +39,9 @@ class RaySpec:
             raise ValueError(f"rays_per_axis must be >= 1, got {self.rays_per_axis}")
 
 
-class RayIndex(NamedTuple):
-    """The angular bin of a direction. A tuple, so a dict hashes it in C."""
-
-    coords: tuple[int, ...]
-
-
 def ray_of(
     v: ObjectiveVector, spec: RaySpec, counters: Counters | None = None
-) -> RayIndex:
+) -> tuple[int, ...]:
     """Bin the direction of (v - reference) into M-1 angular coordinates.
 
     Each spherical angle lies in [0, pi/2] because v >= reference componentwise;
@@ -84,7 +77,7 @@ def ray_of(
         # or overflow
         x, y = u
         c = int(math.atan2(abs(y), x) / _QUARTER * k_rays)
-        return RayIndex((c if c < k_rays else k_rays - 1,))
+        return (c if c < k_rays else k_rays - 1,)
     coords = []
     for k in range(len(u) - 1):
         # scaled by the power of two that brings the largest of the offsets
@@ -96,7 +89,7 @@ def ray_of(
         angle = math.atan2(math.sqrt(sum([d * d for d in rest])), x)
         c = int(angle / _QUARTER * k_rays)
         coords.append(c if c < k_rays else k_rays - 1)
-    return RayIndex(tuple(coords))
+    return tuple(coords)
 
 
 class GpsArchive(Archive):
@@ -107,10 +100,10 @@ class GpsArchive(Archive):
         self.spec = spec
         self._reference = spec.reference.values
         # only try_insert writes these two, always together
-        self._incumbents: dict[RayIndex, Solution] = {}
+        self._incumbents: dict[tuple[int, ...], Solution] = {}
         # each ray's distance to the reference, as recorded when its incumbent
         # was admitted
-        self._admitted: dict[RayIndex, float] = {}
+        self._admitted: dict[tuple[int, ...], float] = {}
         self.incumbents = MappingProxyType(self._incumbents)
         # replacements that did not strictly lower their ray's recorded distance
         self.monotonicity_violations = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import NamedTuple
 
 from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
@@ -55,19 +54,12 @@ class GridSpec:
         return all(map(le, lower, values)) and all(map(le, values, self.upper.values))
 
 
-class CellIndex(NamedTuple):
-    """The coordinates of a grid cell. A tuple, so a dict hashes it in C and
-    cells order by their coordinates."""
-
-    coords: tuple[int, ...]
-
-
 def cell_of(
     v: ObjectiveVector, spec: GridSpec, counters: Counters | None = None
-) -> CellIndex:
-    """Bin a vector into its grid cell: M floor divisions, cost independent of
-    the archive size. Raises DimensionMismatchError or OutOfBoundsError, and
-    charges a lookup only when it raises neither."""
+) -> tuple[int, ...]:
+    """Bin a vector into the coordinates of its grid cell: M floor divisions,
+    cost independent of the archive size. Raises DimensionMismatchError or
+    OutOfBoundsError, and charges a lookup only when it raises neither."""
     if not spec.contains(v):
         raise OutOfBoundsError(v, spec)
     if counters is not None:
@@ -77,7 +69,7 @@ def cell_of(
     for x, lo, hi in zip(v.values, spec.lower.values, spec.upper.values):
         c = int((x - lo) / (hi - lo) * d)
         coords.append(c if c < d else d - 1)
-    return CellIndex(tuple(coords))
+    return tuple(coords)
 
 
 class GridArchive(NondominatedStore):
@@ -92,10 +84,10 @@ class GridArchive(NondominatedStore):
         self.capacity = capacity
         self.spec = spec
         self.inflation = inflation
-        self._cell_by_id: dict[int, CellIndex] = {}
-        self._occupancy: dict[CellIndex, list[int]] = {}
+        self._cell_by_id: dict[int, tuple[int, ...]] = {}
+        self._occupancy: dict[tuple[int, ...], list[int]] = {}
 
-    def cell_occupancy(self) -> dict[CellIndex, tuple[int, ...]]:
+    def cell_occupancy(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Snapshot of cell -> member ids (occupied cells only)."""
         return {cell: tuple(ids) for cell, ids in self._occupancy.items()}
 
@@ -170,7 +162,7 @@ class GridArchive(NondominatedStore):
             self._occupancy.setdefault(cell, []).append(m.id)
         return self.spec
 
-    def _add(self, member: Solution, cell: CellIndex) -> None:
+    def _add(self, member: Solution, cell: tuple[int, ...]) -> None:
         self._append(member)
         self._cell_by_id[member.id] = cell
         self._occupancy.setdefault(cell, []).append(member.id)
@@ -183,7 +175,7 @@ class GridArchive(NondominatedStore):
         if not ids:
             del self._occupancy[cell]
 
-    def _most_occupied(self) -> tuple[CellIndex, int]:
+    def _most_occupied(self) -> tuple[tuple[int, ...], int]:
         """The most occupied cell, ties to the smallest coordinates, and its
         member count."""
         crowd = max(map(len, self._occupancy.values()))

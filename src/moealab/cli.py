@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import types
 import typing
@@ -186,7 +187,9 @@ def _write_front_csv(path: Path, result: RunResult) -> None:
 
 
 def _write_stats_jsonl(path: Path, result: RunResult) -> None:
-    lines = [json.dumps(asdict(st), sort_keys=True) for st in result.stats]
+    lines = [
+        json.dumps(asdict(st), sort_keys=True, allow_nan=False) for st in result.stats
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -230,7 +233,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": asdict(config),
         "repeats": [result.summary for result in results],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     print(f"wrote {len(results)} run(s) to {out}")
     return 0
 
@@ -320,7 +325,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "variants": names,
         "rows": rows,
     }
-    (out / "compare.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "compare.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     print(f"compared {len(names)} variants x {repeats} repeat(s); wrote {out}")
     return 0
 
@@ -338,8 +345,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _output_dir(args.out)
     report = complexity_sweep(args.archiver, sizes, args.seed)
+    payload = report.to_dict()
+    # JSON has no token for an unbounded (two sizes) or undefined (constant
+    # means) interval end
+    payload["slope_ci"] = [c if math.isfinite(c) else None for c in report.slope_ci]
     (out / f"sweep_{args.archiver}.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     csv_lines = ["n,mean_comparisons"]
     for size, mean in report.entries:

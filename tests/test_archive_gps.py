@@ -11,7 +11,6 @@ from moealab import (
     DimensionMismatchError,
     GpsArchive,
     ObjectiveVector,
-    RayIndex,
     RaySpec,
     ray_of,
 )
@@ -24,13 +23,13 @@ def spec_k(k=4, reference=(0.0, 0.0)):
 
 class TestRayOf:
     def test_diagonal_lands_mid_bin(self):
-        assert ray_of(ObjectiveVector((1.0, 1.0)), spec_k()).coords == (2,)
+        assert ray_of(ObjectiveVector((1.0, 1.0)), spec_k()) == (2,)
 
     def test_axis_aligned_first_bin(self):
-        assert ray_of(ObjectiveVector((1.0, 0.0)), spec_k()).coords == (0,)
+        assert ray_of(ObjectiveVector((1.0, 0.0)), spec_k()) == (0,)
 
     def test_vertical_clamps_into_last_bin(self):
-        assert ray_of(ObjectiveVector((0.0, 1.0)), spec_k()).coords == (3,)
+        assert ray_of(ObjectiveVector((0.0, 1.0)), spec_k()) == (3,)
 
     def test_reference_point_is_degenerate(self):
         with pytest.raises(DegenerateDirectionError):
@@ -76,8 +75,8 @@ class TestRayOf:
     def test_three_objectives_give_two_angular_coords(self):
         spec = RaySpec(ObjectiveVector((0.0, 0.0, 0.0)), 8)
         index = ray_of(ObjectiveVector((1.0, 1.0, 1.0)), spec)
-        assert len(index.coords) == 2
-        assert all(0 <= c < 8 for c in index.coords)
+        assert len(index) == 2
+        assert all(0 <= c < 8 for c in index)
 
     def test_scale_invariance_along_a_ray(self):
         spec = spec_k(16)
@@ -99,7 +98,7 @@ class TestRayOf:
         ],
     )
     def test_extreme_offsets_get_their_directions_ray(self, values, true_ray):
-        assert ray_of(ObjectiveVector(values), spec_k(64)).coords == (true_ray,)
+        assert ray_of(ObjectiveVector(values), spec_k(64)) == (true_ray,)
 
     @pytest.mark.parametrize(
         "values, true_rays",
@@ -115,7 +114,7 @@ class TestRayOf:
         self, values, true_rays
     ):
         spec = spec_k(64, (0.0, 0.0, 0.0))
-        assert ray_of(ObjectiveVector(values), spec).coords == true_rays
+        assert ray_of(ObjectiveVector(values), spec) == true_rays
         assert ray_of_oracle(ObjectiveVector(values), spec) == true_rays
 
 
@@ -193,8 +192,8 @@ class TestRayOfMatchesOracle:
             assert type(raised.value) is type(exc)
             return
         index = ray_of(v, spec)
-        assert index.coords == coords
-        assert index == RayIndex(coords)
+        assert index == coords
+        assert type(index) is tuple
 
     @pytest.mark.parametrize("case", SUMMATION_ORDER_EDGES)
     def test_edges_tell_the_summation_orders_apart(self, case):
@@ -223,8 +222,8 @@ class TestGpsInsert:
     def test_same_bin_norm_comparison(self):
         # both directions fall in bin 0 of 4; the shorter vector wins
         spec = spec_k(4)
-        assert ray_of(ObjectiveVector((1.0, 0.0)), spec).coords == (0,)
-        assert ray_of(ObjectiveVector((0.9, 0.05)), spec).coords == (0,)
+        assert ray_of(ObjectiveVector((1.0, 0.0)), spec) == (0,)
+        assert ray_of(ObjectiveVector((0.9, 0.05)), spec) == (0,)
         archive = GpsArchive(spec)
         counters = Counters()
         archive.try_insert(sol(0, (1.0, 0.0)), counters)

@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moealab import (
-    CellIndex,
     Counters,
     DimensionMismatchError,
     GridArchive,
@@ -28,7 +27,7 @@ def unit_spec(divisions=4):
 
 
 def occupancy_rebuilt_from_scratch(archive):
-    expected: dict[CellIndex, list[int]] = {}
+    expected: dict[tuple[int, ...], list[int]] = {}
     for m in archive.members():
         cell = cell_of(m.objectives, archive.spec)
         expected.setdefault(cell, []).append(m.id)
@@ -51,13 +50,13 @@ class TestGridSpec:
 
 class TestCellOf:
     def test_interior_point(self):
-        assert cell_of(ObjectiveVector((0.3, 0.7)), unit_spec()).coords == (1, 2)
+        assert cell_of(ObjectiveVector((0.3, 0.7)), unit_spec()) == (1, 2)
 
     def test_upper_corner_clamps_into_last_cell(self):
-        assert cell_of(ObjectiveVector((1.0, 1.0)), unit_spec()).coords == (3, 3)
+        assert cell_of(ObjectiveVector((1.0, 1.0)), unit_spec()) == (3, 3)
 
     def test_lower_corner(self):
-        assert cell_of(ObjectiveVector((0.0, 0.0)), unit_spec()).coords == (0, 0)
+        assert cell_of(ObjectiveVector((0.0, 0.0)), unit_spec()) == (0, 0)
 
     def test_out_of_bounds_signals(self):
         with pytest.raises(OutOfBoundsError):
@@ -147,8 +146,8 @@ class TestCellOfMatchesOracle:
             assert counters.cell_lookups == 0
             return
         index = cell_of(v, spec, counters)
-        assert index.coords == coords
-        assert index == CellIndex(coords)
+        assert index == coords
+        assert type(index) is tuple
         assert counters.cell_lookups == 1
 
 
@@ -194,7 +193,7 @@ class TestAdaptBounds:
             archive.adapt_bounds(ObjectiveVector(values), counters)
         assert archive.spec is spec_before
         assert counters.cell_lookups == lookups
-        assert occupancy_sorted(archive) == {CellIndex((2, 2)): (0,)}
+        assert occupancy_sorted(archive) == {(2, 2): (0,)}
 
     def test_degenerate_envelope_still_produces_valid_bounds(self):
         archive = GridArchive(10, unit_spec())
@@ -209,7 +208,7 @@ class TestGridInsert:
         counters = Counters()
         outcome, _ = archive.try_insert(sol(0, (0.3, 0.7)), counters)
         assert outcome.accepted and not outcome.departed
-        assert occupancy_sorted(archive) == {CellIndex((1, 2)): (0,)}
+        assert occupancy_sorted(archive) == {(1, 2): (0,)}
 
     def test_crowded_cell_member_displaced_by_lonely_candidate(self):
         # both members share cell (0,3); the candidate lands in empty (3,0),
@@ -293,7 +292,7 @@ def most_occupied_by_sorted_scan(occupancy):
     # every occupied cell in coordinate order; a strictly larger count wins,
     # so ties go to the smallest coordinates
     best_cell, best = None, -1
-    for cell in sorted(occupancy, key=lambda c: c.coords):
+    for cell in sorted(occupancy):
         if len(occupancy[cell]) > best:
             best_cell, best = cell, len(occupancy[cell])
     return best_cell, best
@@ -310,7 +309,7 @@ class TestMostOccupied:
             coords = {tuple(int(c) for c in rng.integers(0, 4, size=m)) for _ in range(12)}
             # counts of 1-3 over up to 12 cells: the largest count is often shared
             archive._occupancy = {
-                CellIndex(c): list(range(int(rng.integers(1, 4)))) for c in coords
+                c: list(range(int(rng.integers(1, 4)))) for c in coords
             }
             expected = most_occupied_by_sorted_scan(archive._occupancy)
             assert archive._most_occupied() == expected

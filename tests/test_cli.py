@@ -1,10 +1,17 @@
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import pytest
 
-from moealab import ArchiveConfig, LocalSearchConfig, RunConfig, VariationConfig
+from moealab import (
+    ArchiveConfig,
+    ComplexityReport,
+    LocalSearchConfig,
+    RunConfig,
+    VariationConfig,
+)
 from moealab import cli
 from moealab.cli import _load, main
 from oracles import oracle_pairwise_nondominating
@@ -495,6 +502,34 @@ class TestCmdSweep:
         csv_lines = (out / "sweep_gps.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "n,mean_comparisons"
         assert len(csv_lines) == 4
+
+    @staticmethod
+    def strict_report(path):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_two_sizes_write_an_unbounded_interval_as_nulls(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--archiver", "rn", "--sizes", "1,2", "--out", str(out)])
+        assert code == 0
+        report = self.strict_report(out / "sweep_rn.json")
+        assert report["cmp_slope"] == 1.0
+        assert report["slope_ci"] == [None, None]
+
+    def test_constant_means_write_an_undefined_interval_as_nulls(
+        self, tmp_path, monkeypatch
+    ):
+        def constant(kind, sizes, seed):
+            entries = tuple((size, 1.0) for size in sizes)
+            return ComplexityReport(kind, entries, 0.0, (math.nan, math.nan))
+
+        monkeypatch.setattr(cli, "complexity_sweep", constant)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--archiver", "gps", "--sizes", "8,16,32", "--out", str(out)])
+        assert code == 0
+        assert self.strict_report(out / "sweep_gps.json")["slope_ci"] == [None, None]
 
     def test_single_size_exits_2(self, tmp_path):
         assert main(

@@ -1,0 +1,96 @@
+"""The bytes of every file `moealab run` and `moealab sweep` write, pinned by
+sha256 for a few small configs.
+
+The front CSV, the stats JSONL, summary.json and the sweep reports are meant
+to stay byte-identical across changes that only make the code faster or
+smaller. The golden values pin counters and one metric; these digests also
+catch a moved last bit, a reordered key or a changed number format.
+
+ROADMAP item 10 (the mutation of an out-of-bounds child) changes outputs, and
+must re-pin these digests when it lands, as must any other change meant to
+alter what the CLI writes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from moealab.cli import main
+
+RUNS = {
+    "grid-zdt1": {
+        "problem": "zdt1",
+        "archive": {"kind": "grid"},
+        "max_evaluations": 1000,
+        "metrics_every": 250,
+    },
+    "rn-zdt1": {
+        "problem": "zdt1",
+        "archive": {"kind": "rn"},
+        "preset": 3,
+        "max_evaluations": 600,
+        "replacement_count": 10,
+    },
+    "gps-zdt2": {
+        "problem": "zdt2",
+        "archive": {"kind": "gps"},
+        "max_evaluations": 1000,
+    },
+}
+
+SWEEP_SIZES = {"rn": "10,20,40", "grid": "10,20,40", "gps": "8,16,32"}
+
+DIGESTS = {
+    "gps-zdt2": {
+        "front_seed0.csv": "27d787a4753fc198a6471650de29893bbceda50ec676d05e315c8b4f78e191c0",
+        "stats_seed0.jsonl": "acf3a6c86315bf024049a745a5212625281f1db3a3490f612a5b8e5e075d74e4",
+        "summary.json": "c79508de0d11f89363f3509db259824ba1d0ebeb2c456e3ba3be6df5477edbf3",
+    },
+    "grid-zdt1": {
+        "front_seed0.csv": "fd37850c39cf32e04fa4cc11768a523cb733d93ac75161e339ef4a9c25b8f18c",
+        "stats_seed0.jsonl": "9fe1aae9997a029bb1a8ac63e4c91fed272de1b37f5da284dc15252682c86783",
+        "summary.json": "fabcc97ab3d18df2957949c202cb8d2bf6ea76b5105c35a55f12c2fcf2d0f972",
+    },
+    "rn-zdt1": {
+        "front_seed0.csv": "fdcab465fad4d61e4ff79488bba84deaeaa295e8b4f6d0a5f5132ebd5212ea93",
+        "stats_seed0.jsonl": "56543cbd92d7b08371f474c6e62e61083fa48a5d8419efc720d38f96990b1d99",
+        "summary.json": "dccccf4c346fb799b67e1df6ff51b8b829e705f30fef75cd4dee8a65dab469ef",
+    },
+    "sweep-gps": {
+        "sweep_gps.csv": "871051fc893aa5be8f259f3a24b4d1b3c4012abda646f2283a86b019c4f9a156",
+        "sweep_gps.json": "4acfea277c9ef6a54fc4e58a1b919b7101ed8a7ef19161713d6f153fe7ca2508",
+    },
+    "sweep-grid": {
+        "sweep_grid.csv": "22e08348758a68554033f69acbb3c6e1f2d836810696e9d4cee1b2e81ab53164",
+        "sweep_grid.json": "ee23cc508708dd92d6b5ebe0f7ff4cf0324d61924bcfb4631a65ac81f41ed67d",
+    },
+    "sweep-rn": {
+        "sweep_rn.csv": "22e08348758a68554033f69acbb3c6e1f2d836810696e9d4cee1b2e81ab53164",
+        "sweep_rn.json": "7dbacd3a7a9982fbc8237ec8632ef623a291f6173a4dcd177d2d07eee7c7f4de",
+    },
+}
+
+
+def digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_writes_the_pinned_bytes(tmp_path, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**RUNS[name], "population_size": 40, "seed": 0}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert digests(out) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("archiver", sorted(SWEEP_SIZES))
+def test_sweep_writes_the_pinned_bytes(tmp_path, archiver):
+    out = tmp_path / "out"
+    argv = ["sweep", "--archiver", archiver, "--sizes", SWEEP_SIZES[archiver]]
+    assert main([*argv, "--seed", "0", "--out", str(out)]) == 0
+    assert digests(out) == DIGESTS[f"sweep-{archiver}"]
