@@ -81,6 +81,10 @@ class Archive(ABC):
     def members(self) -> list[Solution]:
         """Snapshot of current members; callers own the returned list."""
 
+    @abstractmethod
+    def __len__(self) -> int:
+        """The number of members, without the snapshot."""
+
     def finalize(self) -> list[Solution]:
         """Pareto filter of the members, applied after the run terminates.
 
@@ -131,6 +135,9 @@ class NondominatedStore(Archive):
 
     def members(self) -> list[Solution]:
         return list(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
 
     @property
     def _objectives(self) -> np.ndarray:

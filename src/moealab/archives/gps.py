@@ -111,6 +111,9 @@ class GpsArchive(Archive):
     def members(self) -> list[Solution]:
         return list(self._incumbents.values())
 
+    def __len__(self) -> int:
+        return len(self._incumbents)
+
     def occupied_rays(self) -> int:
         return len(self._incumbents)
 

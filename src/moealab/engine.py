@@ -34,6 +34,7 @@ from .core import (
 )
 from .generator import (
     LocalSearchConfig,
+    RandomStream,
     VariationConfig,
     generate,
     local_search,
@@ -272,7 +273,8 @@ class RunState:
     archive: Archive
     counters: Counters
     generation: int
-    rng: np.random.Generator
+    # every draw of the run goes through it
+    rng: RandomStream
     ids: Iterator[int]
     tracker: DeteriorationTracker
     front_reference: list[ObjectiveVector] | None = None
@@ -331,7 +333,7 @@ def initialize(config: RunConfig) -> RunState:
     """Sample and evaluate the initial population, offering every member to
     the archive."""
     problem = config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = RandomStream(np.random.default_rng(config.seed))
     ids = itertools.count()
     state = RunState(
         problem=problem,
@@ -344,10 +346,7 @@ def initialize(config: RunConfig) -> RunState:
         tracker=DeteriorationTracker(problem.m),
     )
     for _ in range(config.population_size):
-        genome = tuple(
-            lo + (hi - lo) * r
-            for (lo, hi), r in zip(problem.bounds, rng.random(problem.n_var).tolist())
-        )
+        genome = tuple(lo + (hi - lo) * rng.random() for lo, hi in problem.bounds)
         sol = Solution(next(ids), genome)
         sol.objectives = _evaluate(state, genome)
         state.population.append(sol)
@@ -365,9 +364,9 @@ def update_population(state: RunState, child: Solution, accepted: bool) -> int |
     if accepted:
         index = first_dominated(child.objectives, pop, state.counters)
         if index is None:
-            index = int(state.rng.integers(len(pop)))
+            index = state.rng.integers(len(pop))
     else:
-        index = int(state.rng.integers(len(pop)))
+        index = state.rng.integers(len(pop))
         if not dominates(child.objectives, pop[index].objectives, state.counters):
             return None
     pop[index] = child
@@ -453,7 +452,7 @@ def _generation_stats(
     return GenerationStats(
         generation=state.generation,
         evaluations_done=state.counters.evaluations,
-        archive_size=len(state.archive.members()),
+        archive_size=len(state.archive),
         accepted_count=accepted_count,
         deterioration_events=state.tracker.count(),
         metrics=metrics,
@@ -465,7 +464,7 @@ def run(config: RunConfig) -> RunResult:
     state = initialize(config)
     # generation 0 is the initial population; every member it left in the
     # archive counts as accepted
-    stats = [_generation_stats(state, len(state.archive.members()), {})]
+    stats = [_generation_stats(state, len(state.archive), {})]
     while state.counters.evaluations < config.max_evaluations:
         stats.append(step(state, config))
     front = state.archive.finalize()
@@ -474,7 +473,7 @@ def run(config: RunConfig) -> RunResult:
         "archive_kind": config.archive.kind,
         "seed": config.seed,
         "front_size": len(front),
-        "archive_size": len(state.archive.members()),
+        "archive_size": len(state.archive),
         "evaluations": state.counters.evaluations,
         "dominance_comparisons": state.counters.dominance_comparisons,
         "cell_lookups": state.counters.cell_lookups,

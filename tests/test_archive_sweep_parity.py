@@ -119,6 +119,8 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
         oracle_departed += want[0].departed
         assert counters == oracle_counters
         assert state(archive, departed) == state(oracle, oracle_departed)
+        assert len(archive) == len(archive.members())
+        assert len(oracle) == len(oracle.members())
         assert archive._objectives.tolist() == [
             list(m.objectives.values) for m in archive.members()
         ]
@@ -163,6 +165,7 @@ def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
         assert got == want
         assert [m.id for m in got[0].departed] == [m.id for m in want[0].departed]
         assert [m.id for m in archive.members()] == [m.id for m in oracle.members()]
+        assert len(archive) == len(archive.members())
         assert archive._objectives.tolist() == oracle._objectives.tolist()
         truncated += len(archive.members()) == size and bool(got[0].departed)
     assert counters == oracle_counters
@@ -204,6 +207,19 @@ def test_no_departure_dominates_a_member_left(kind, stream, seed):
     hits, departures = departures_dominating_members(archive, candidates)
     assert hits == 0
     assert departures > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_gps_len_counts_its_incumbents(stream, seed):
+    points = STREAMS[stream](seed, 300)
+    m = len(points[0])
+    # the reference lies below every stream's points, escaping's included
+    archive = GpsArchive(RaySpec(ObjectiveVector((-2.0,) * m), 16))
+    for i, values in enumerate(points):
+        archive.try_insert(sol(i, values), Counters())
+        assert len(archive) == len(archive.members())
+    assert len(archive) > 1
 
 
 def test_gps_departures_can_dominate_members():

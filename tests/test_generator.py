@@ -11,6 +11,7 @@ from moealab import (
     DominanceRelation,
     LocalSearchConfig,
     ObjectiveVector,
+    RandomStream,
     RunConfig,
     Solution,
     VariationConfig,
@@ -33,6 +34,10 @@ def parent(sid, genome):
 
 def parents_pair():
     return parent(0, (0.2, 0.8, 1.0)), parent(1, (0.7, 0.3, -1.0))
+
+
+def stream(seed):
+    return RandomStream(np.random.default_rng(seed))
 
 
 class TestVariationConfig:
@@ -129,7 +134,7 @@ class TestGenerate:
     def test_identity_pipeline_copies_first_parent(self):
         config = VariationConfig(crossover_prob=0.0, mutation_prob=0.0)
         p1, p2 = parents_pair()
-        child = generate((p1, p2), config, BOUNDS, np.random.default_rng(0), itertools.count(10))
+        child = generate((p1, p2), config, BOUNDS, stream(0), itertools.count(10))
         assert child.genome == p1.genome
         assert child.id == 10
         assert not child.evaluated
@@ -138,24 +143,22 @@ class TestGenerate:
         config = VariationConfig(crossover_prob=0.0, mutation_prob=1.0)
         edge = parent(0, (0.0, 1.0, 3.0))
         for seed in range(50):
-            child = generate(
-                (edge, edge), config, BOUNDS, np.random.default_rng(seed), itertools.count()
-            )
+            child = generate((edge, edge), config, BOUNDS, stream(seed), itertools.count())
             for g, (lo, hi) in zip(child.genome, BOUNDS):
                 assert lo <= g <= hi
 
     def test_fixed_seed_gives_identical_children(self):
         config = VariationConfig()
         p1, p2 = parents_pair()
-        a = generate((p1, p2), config, BOUNDS, np.random.default_rng(42), itertools.count())
-        b = generate((p1, p2), config, BOUNDS, np.random.default_rng(42), itertools.count())
+        a = generate((p1, p2), config, BOUNDS, stream(42), itertools.count())
+        b = generate((p1, p2), config, BOUNDS, stream(42), itertools.count())
         assert a.genome == b.genome
 
     def test_ids_advance_with_the_id_source(self):
         config = VariationConfig()
         p1, p2 = parents_pair()
         ids = itertools.count(5)
-        rng = np.random.default_rng(1)
+        rng = stream(1)
         children = [generate((p1, p2), config, BOUNDS, rng, ids) for _ in range(3)]
         assert [c.id for c in children] == [5, 6, 7]
 
@@ -173,7 +176,7 @@ class TestGenerate:
             mutation_prob=float(rng.random()),
         )
         child = generate(
-            (parent(0, g1), parent(1, g2)), config, BOUNDS, rng, itertools.count()
+            (parent(0, g1), parent(1, g2)), config, BOUNDS, RandomStream(rng), itertools.count()
         )
         for g, (low, high) in zip(child.genome, BOUNDS):
             assert low <= g <= high
@@ -205,17 +208,17 @@ def variation_cases(draw):
 
 
 class TestGenerateStreamParity:
-    """generate() draws one block of uniforms per child and rewinds to the
-    draws it used; the children and the rng state must equal those of one
-    rng.random() call per draw. Each child follows an rng.integers(k) draw, as
-    in select_parents, which can leave half of a 64-bit output buffered: the
-    rewind must keep that half."""
+    """generate() peeks at the stream's next uniforms and consumes the ones it
+    used; the children and every later draw must equal those of one
+    rng.random() call per draw on a numpy Generator. Each child follows an
+    integers(k) draw, as in select_parents, which can leave half of a 64-bit
+    output buffered: the stream must keep that half."""
 
     @settings(max_examples=300, deadline=None)
     @given(variation_cases(), st.integers(0, 2**32 - 1), st.integers(1, 1000))
     def test_children_and_rng_state_match_scalar_draws(self, case, seed, k):
         bounds, p1, p2, config = case
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, oracle_rng = stream(seed), np.random.default_rng(seed)
         ids, oracle_ids = itertools.count(2), itertools.count(2)
         for _ in range(3):
             assert rng.integers(k) == oracle_rng.integers(k)
@@ -231,7 +234,10 @@ class TestGenerateStreamParity:
             assert child.id == expected.id
             # bit for bit: == would let -0.0 pass for 0.0
             assert list(map(float.hex, child.genome)) == list(map(float.hex, expected.genome))
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # the next double, and the next 32-bit draw, which is the buffered
+            # half when there is one
+            assert rng.random().hex() == oracle_rng.random().hex()
+            assert rng.integers(2**32) == oracle_rng.integers(2**32)
             p1, p2 = child, p1
 
     @pytest.mark.parametrize(
@@ -249,8 +255,8 @@ class TestGenerateStreamParity:
         # a gene at or past a bound becomes that bound, signed zero and all
         config = VariationConfig(crossover_prob=0.0, mutation_prob=0.0)
         p = parent(0, (gene,))
-        for produce in (generate, generate_oracle):
-            child = produce((p, p), config, (bounds,), np.random.default_rng(0), itertools.count())
+        for produce, rng in ((generate, stream(0)), (generate_oracle, np.random.default_rng(0))):
+            child = produce((p, p), config, (bounds,), rng, itertools.count())
             assert child.genome[0].hex() == expected
 
     @pytest.mark.xfail(strict=True, raises=TypeError)
