@@ -114,33 +114,23 @@ class GpsArchive(Archive):
     def __len__(self) -> int:
         return len(self._incumbents)
 
-    def occupied_rays(self) -> int:
-        return len(self._incumbents)
-
-    def distance_to_reference(self, solution: Solution) -> float:
-        return solution.objectives.distance_to(self.spec.reference)
-
     def try_insert(
         self, candidate: Solution, counters: Counters
     ) -> tuple[InsertOutcome, FeedbackSignal]:
         ray = ray_of(candidate.objectives, self.spec, counters)
         incumbent = self._incumbents.get(ray)
         d_new = math.dist(candidate.objectives.values, self._reference)
-        if incumbent is None:
-            self._incumbents[ray] = candidate
-            self._admitted[ray] = d_new
-            outcome = InsertOutcome.of(True, ())
-            return outcome, FeedbackSignal(True, len(self._incumbents))
-
-        # exactly one comparison: the incumbent of the candidate's own ray
-        counters.dominance_comparisons += 1
-        d_old = math.dist(incumbent.objectives.values, self._reference)
-        if d_new < d_old:
+        if incumbent is not None:
+            # exactly one comparison: the incumbent of the candidate's own ray
+            counters.dominance_comparisons += 1
+            d_old = math.dist(incumbent.objectives.values, self._reference)
+            if not d_new < d_old:
+                outcome = InsertOutcome.of(False, ())
+                return outcome, FeedbackSignal(False, len(self._incumbents))
             if not d_new < self._admitted[ray]:
                 self.monotonicity_violations += 1
-            self._incumbents[ray] = candidate
-            self._admitted[ray] = d_new
-            outcome = InsertOutcome.of(True, (incumbent,))
-            return outcome, FeedbackSignal(True, len(self._incumbents))
-        outcome = InsertOutcome.of(False, ())
-        return outcome, FeedbackSignal(False, len(self._incumbents))
+        # a new ray or a replacement of its incumbent
+        self._incumbents[ray] = candidate
+        self._admitted[ray] = d_new
+        outcome = InsertOutcome.of(True, () if incumbent is None else (incumbent,))
+        return outcome, FeedbackSignal(True, len(self._incumbents))

@@ -10,7 +10,7 @@ proportional to the member count rather than the cell count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from operator import attrgetter, le
 
 from ..core import Counters, DimensionMismatchError, ObjectiveVector, Solution
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
@@ -85,11 +85,15 @@ class GridArchive(NondominatedStore):
         self.spec = spec
         self.inflation = inflation
         self._cell_by_id: dict[int, tuple[int, ...]] = {}
-        self._occupancy: dict[tuple[int, ...], list[int]] = {}
+        # each occupied cell's members, in the order they entered it
+        self._occupancy: dict[tuple[int, ...], list[Solution]] = {}
 
     def cell_occupancy(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Snapshot of cell -> member ids (occupied cells only)."""
-        return {cell: tuple(ids) for cell, ids in self._occupancy.items()}
+        return {
+            cell: tuple(m.id for m in members)
+            for cell, members in self._occupancy.items()
+        }
 
     def try_insert(
         self, candidate: Solution, counters: Counters
@@ -115,11 +119,8 @@ class GridArchive(NondominatedStore):
             # the candidate displaces a member of the most crowded cell only
             # from a strictly less crowded cell of its own; else it is rejected
             if len(self._occupancy.get(cell, ())) < crowd:
-                victim_id = min(self._occupancy[crowded_cell])
-                index = next(
-                    i for i, m in enumerate(self._members) if m.id == victim_id
-                )
-                (victim,) = self._remove([index])
+                victim = min(self._occupancy[crowded_cell], key=attrgetter("id"))
+                self._remove([self._members.index(victim)])
                 self._vacate(victim)
                 departed.append(victim)
         kept = len(self._members) < self.capacity
@@ -159,20 +160,20 @@ class GridArchive(NondominatedStore):
         for m in self._members:
             cell = cell_of(m.objectives, self.spec, counters)
             self._cell_by_id[m.id] = cell
-            self._occupancy.setdefault(cell, []).append(m.id)
+            self._occupancy.setdefault(cell, []).append(m)
         return self.spec
 
     def _add(self, member: Solution, cell: tuple[int, ...]) -> None:
         self._append(member)
         self._cell_by_id[member.id] = cell
-        self._occupancy.setdefault(cell, []).append(member.id)
+        self._occupancy.setdefault(cell, []).append(member)
 
     def _vacate(self, member: Solution) -> None:
         """Take a member that has left the store out of its cell."""
         cell = self._cell_by_id.pop(member.id)
-        ids = self._occupancy[cell]
-        ids.remove(member.id)
-        if not ids:
+        members = self._occupancy[cell]
+        members.remove(member)
+        if not members:
             del self._occupancy[cell]
 
     def _most_occupied(self) -> tuple[tuple[int, ...], int]:
@@ -180,6 +181,6 @@ class GridArchive(NondominatedStore):
         member count."""
         crowd = max(map(len, self._occupancy.values()))
         crowded = min(
-            cell for cell, ids in self._occupancy.items() if len(ids) == crowd
+            cell for cell, members in self._occupancy.items() if len(members) == crowd
         )
         return crowded, crowd

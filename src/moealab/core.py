@@ -42,13 +42,6 @@ class ObjectiveVector:
     def dim(self) -> int:
         return len(self.values)
 
-    def distance_to(self, other: "ObjectiveVector") -> float:
-        if len(self.values) != len(other.values):
-            raise DimensionMismatchError(
-                f"dimension mismatch: {len(self.values)} vs {len(other.values)}"
-            )
-        return math.dist(self.values, other.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

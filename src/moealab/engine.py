@@ -8,6 +8,7 @@ The replacement count per generation parameterizes the generation gap:
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -80,10 +81,15 @@ class ArchiveConfig:
             )
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
-        if self.divisions < 1:
-            raise ConfigError(f"divisions must be >= 1, got {self.divisions}")
-        if self.rays_per_axis < 1:
-            raise ConfigError(f"rays_per_axis must be >= 1, got {self.rays_per_axis}")
+        for name in ("divisions", "rays_per_axis"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ConfigError(f"{name} must be >= 1, got {count}")
+            # cell_of and ray_of scale by the count as a float
+            if count > sys.float_info.max:
+                raise ConfigError(
+                    f"{name} must be at most the largest float, {sys.float_info.max!r}"
+                )
         if self.inflation < 0:
             raise ConfigError(f"inflation must be >= 0, got {self.inflation}")
 
@@ -278,10 +284,6 @@ class RunState:
     ids: Iterator[int]
     tracker: DeteriorationTracker
     front_reference: list[ObjectiveVector] | None = None
-
-    @property
-    def evaluations_done(self) -> int:
-        return self.counters.evaluations
 
 
 @dataclass
@@ -482,7 +484,7 @@ def run(config: RunConfig) -> RunResult:
     }
     if isinstance(state.archive, GpsArchive):
         summary["gps_monotonic"] = state.archive.monotonicity_violations == 0
-        summary["occupied_rays"] = state.archive.occupied_rays()
+        summary["occupied_rays"] = len(state.archive)
     return RunResult(
         config=config,
         front=front,

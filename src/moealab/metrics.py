@@ -17,9 +17,6 @@ import numpy as np
 from .archives import Archive, GpsArchive, GridArchive, GridSpec, RaySpec, RnArchive
 from .core import Counters, ObjectiveVector, Solution, dominance_masks, pairwise_distances
 
-METRIC_GD = "gd"
-METRIC_SPACING = "spacing"
-METRIC_COVERAGE = "coverage"
 METRIC_CMP_SLOPE = "cmp_slope"
 
 # per sweep size: the first N insertions are warm-up (excluded from the mean,

@@ -313,7 +313,7 @@ class TestGpsInvariants:
             ray = ray_of(s.objectives, spec)
             archive.try_insert(s, counters)
             incumbent = archive.incumbents[ray]
-            d = archive.distance_to_reference(incumbent)
+            d = math.dist(incumbent.objectives.values, spec.reference.values)
             if ray in best:
                 assert d <= best[ray] + 1e-12
             best[ray] = d
@@ -367,14 +367,15 @@ class TestGpsInvariants:
         spec = spec_k(10)
         archive = GpsArchive(spec)
         counters = Counters()
+        reference = spec.reference.values
         for s in random_solutions(rng, 500):
             before = {m.id: m for m in archive.members()}
             outcome, _ = archive.try_insert(s, counters)
             if not outcome.accepted:
                 assert outcome.departed == ()
             for departed in outcome.departed:
-                assert archive.distance_to_reference(s) < archive.distance_to_reference(
-                    before[departed.id]
+                assert math.dist(s.objectives.values, reference) < math.dist(
+                    before[departed.id].objectives.values, reference
                 )
 
     def test_memory_tracks_occupied_rays(self):
@@ -384,8 +385,8 @@ class TestGpsInvariants:
         counters = Counters()
         for i, s in enumerate(random_solutions(rng, 300), start=1):
             archive.try_insert(s, counters)
-            assert archive.occupied_rays() == len(archive.members())
-            assert archive.occupied_rays() <= min(i, 32)
+            assert len(archive) == len(archive.members())
+            assert len(archive) <= min(i, 32)
 
     def test_locality_outcome_ignores_other_rays(self):
         # identical candidate, identical own-ray incumbent, different other

@@ -296,6 +296,8 @@ class TestCmdCompare:
 
 
 _GUARD = "above the 10000-point enumeration guard"
+_HUGE = 10**400
+_TOO_LARGE = "must be at most the largest float, 1.7976931348623157e+308"
 
 
 class TestBadInputExits2:
@@ -475,6 +477,49 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
+
+    # grid and gps scale by their count as a float, which 10**400 overflows
+    @pytest.mark.parametrize(
+        "archive, name",
+        [
+            ({"kind": "grid", "divisions": _HUGE}, "divisions"),
+            ({"kind": "gps", "rays_per_axis": _HUGE}, "rays_per_axis"),
+        ],
+    )
+    def test_run_count_past_the_largest_float(self, tmp_path, capsys, archive, name):
+        config = sch_config(tmp_path, archive=archive)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {name} {_TOO_LARGE}\n"
+        assert not out.exists()
+
+    def test_compare_count_past_the_largest_float(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "compare.json",
+            problem="sch",
+            variants=[
+                {"archive": {"kind": "rn"}},
+                {"archive": {"kind": "grid", "divisions": _HUGE}},
+            ],
+        )
+        out = tmp_path / "o"
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: divisions {_TOO_LARGE}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--divisions", "divisions"), ("--rays", "rays_per_axis")]
+    )
+    def test_oracle_check_count_past_the_largest_float(
+        self, tmp_path, capsys, monkeypatch, flag, name
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle-check", "--k", "5", flag, str(_HUGE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {name} {_TOO_LARGE}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigLoader:

@@ -193,7 +193,6 @@ class TestInitialize:
         state = initialize(small_config())
         assert len(state.population) == 10
         assert all(s.evaluated for s in state.population)
-        assert state.evaluations_done == 10
         assert state.counters.evaluations == 10
 
     def test_same_seed_gives_identical_population(self):
@@ -220,24 +219,24 @@ class TestStep:
     def test_steady_state_adds_one_evaluation(self):
         config = small_config(replacement_count=1)
         state = initialize(config)
-        before = state.evaluations_done
+        before = state.counters.evaluations
         stats = step(state, config)
-        assert state.evaluations_done == before + 1
+        assert state.counters.evaluations == before + 1
         assert stats.generation == 1
-        assert stats.evaluations_done == state.evaluations_done
+        assert stats.evaluations_done == state.counters.evaluations
 
     def test_generational_mode_replaces_population_size_candidates(self):
         config = small_config(replacement_count=10)
         state = initialize(config)
-        before = state.evaluations_done
+        before = state.counters.evaluations
         step(state, config)
-        assert state.evaluations_done == before + 10
+        assert state.counters.evaluations == before + 10
 
     def test_budget_respected_mid_generation(self):
         config = small_config(max_evaluations=13, replacement_count=10)
         state = initialize(config)
         step(state, config)
-        assert state.evaluations_done == 13
+        assert state.counters.evaluations == 13
 
     def test_population_size_is_invariant(self):
         config = small_config()
@@ -452,7 +451,7 @@ class TestRun:
                 seed=seed,
             )
             state = initialize(config)
-            while state.evaluations_done < config.max_evaluations:
+            while state.counters.evaluations < config.max_evaluations:
                 stats = step(state, config)
                 expected = deterioration_check(evicted, state.archive.members())
                 assert stats.deterioration_events == expected
@@ -570,7 +569,7 @@ class TestRun:
         peaks = {}
         for config in configs:
             state = initialize(config)
-            while state.evaluations_done < config.max_evaluations:
+            while state.counters.evaluations < config.max_evaluations:
                 step(state, config)
             peaks[config.problem] = max(peaks.get(config.problem, 0), state.tracker.peak)
         # the lattice and gps runs deteriorate, so the id sets are exercised
