@@ -104,9 +104,8 @@ class NondominatedStore(Archive):
 
     - M = 2: the members' objective tuples also form a staircase, sorted by
       increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
-      Each stair is paired with its member's insertion sequence number; the
-      numbers increase along `_members`, so a member's position is one
-      bisect_left of its number.
+      Each stair is paired with its member, and a member's position is its
+      index in `_members`, found by identity (Solution compares by identity).
     - other M: an (n, M) array whose row i is member i's objectives.
 
     `_objectives` is that array for every M; at M = 2 it is built on the
@@ -126,12 +125,9 @@ class NondominatedStore(Archive):
         self._bi_objective = False
         # None while M = 2 and the array is not built since the last change
         self._rows: np.ndarray | None = np.empty((0, 0))
-        # M = 2 only: sequence numbers in member order, and the staircase with
-        # the sequence number of each stair's member
-        self._seqs: list[int] = []
+        # M = 2 only: the staircase, and the member of each stair
         self._stairs: list[tuple[float, ...]] = []
-        self._stair_seqs: list[int] = []
-        self._next_seq = 0
+        self._stair_members: list[Solution] = []
 
     def members(self) -> list[Solution]:
         return list(self._members)
@@ -147,11 +143,6 @@ class NondominatedStore(Archive):
                 [m.objectives.values for m in self._members], dtype=float
             )
         return self._rows
-
-    def _position(self, seq: int) -> int:
-        """The member-order position of the member with sequence number `seq`
-        (M = 2)."""
-        return bisect_left(self._seqs, seq)
 
     def _sweep(self, candidate: Solution, counters: Counters) -> list[int] | None:
         """Test the candidate against every member: None when some member
@@ -187,7 +178,7 @@ class NondominatedStore(Archive):
             start = i - 1
             while start and stairs[start - 1][1] <= y:
                 start -= 1
-            first = self._position(min(self._stair_seqs[start:i]))
+            first = min(map(self._members.index, self._stair_members[start:i]))
             counters.dominance_comparisons += first + 1
             return None
         counters.dominance_comparisons += n
@@ -195,19 +186,16 @@ class NondominatedStore(Archive):
         end = i
         while end < len(stairs) and stairs[end][1] >= y:
             end += 1
-        return sorted(map(self._position, self._stair_seqs[i:end]))
+        return sorted(map(self._members.index, self._stair_members[i:end]))
 
     def _append(self, member: Solution) -> None:
         values = member.objectives.values
         if not self._members:
             self._bi_objective = len(values) == 2
         if self._bi_objective:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._seqs.append(seq)
             at = bisect_right(self._stairs, values)
             self._stairs.insert(at, values)
-            self._stair_seqs.insert(at, seq)
+            self._stair_members.insert(at, member)
             self._rows = None
         else:
             row = np.array([values], dtype=float)
@@ -222,13 +210,11 @@ class NondominatedStore(Archive):
         for p in reversed(positions):
             del members[p]
         if self._bi_objective:
-            for p in reversed(positions):
-                del self._seqs[p]
             for m in departed:
                 # members are mutually nondominated, so no two share a tuple
                 at = bisect_left(self._stairs, m.objectives.values)
                 del self._stairs[at]
-                del self._stair_seqs[at]
+                del self._stair_members[at]
             self._rows = None
         else:
             self._rows = np.delete(self._rows, positions, axis=0)

@@ -37,7 +37,7 @@ class GridSpec:
     divisions: int
 
     def __post_init__(self):
-        if self.lower.dim != self.upper.dim:
+        if len(self.lower) != len(self.upper):
             raise ValueError("grid bounds must share a dimension")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("grid lower bound must be strictly below upper bound")
@@ -144,7 +144,7 @@ class GridArchive(NondominatedStore):
         points = [m.objectives.values for m in self._members] + [v.values]
         lower = []
         upper = []
-        for k in range(v.dim):
+        for k in range(len(v)):
             lo = min(p[k] for p in points)
             hi = max(p[k] for p in points)
             span = hi - lo

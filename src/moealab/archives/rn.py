@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -88,8 +89,8 @@ class RnArchive(NondominatedStore):
             _distance(a, b) for a, b in zip(stairs, itertools.islice(stairs, 1, None))
         ]
         least = min(gaps)
-        members = self._members
-        best = None
+        owners = self._stair_members
+        pairs = []
         for i, gap in enumerate(gaps):
             if gap != least:
                 continue
@@ -97,16 +98,12 @@ class RnArchive(NondominatedStore):
             # longer than one only where distances round to 0 or overflow
             j = i + 1
             while True:
-                a, b = (self._position(self._stair_seqs[k]) for k in (i, j))
-                if members[a].id > members[b].id:
-                    a, b = b, a
-                key = (members[a].id, members[b].id, b)
-                if best is None or key < best:
-                    best = key
+                pairs.append(sorted((owners[i], owners[j]), key=attrgetter("id")))
                 j += 1
                 if j == len(stairs) or _distance(stairs[i], stairs[j]) != least:
                     break
-        return best[2]
+        _, victim = min(pairs, key=lambda pair: (pair[0].id, pair[1].id))
+        return self._members.index(victim)
 
     def strength_fitness(
         self, population: Sequence[Solution], counters: Counters | None = None

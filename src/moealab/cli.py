@@ -20,6 +20,8 @@ from dataclasses import MISSING, asdict, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import Counters, Solution
 from .engine import (
     ARCHIVE_KINDS,
@@ -30,7 +32,7 @@ from .engine import (
     build_archive,
     run,
 )
-from .metrics import complexity_sweep, coverage
+from .metrics import _MEASURED_MULTIPLE, complexity_sweep, coverage
 from .problems import UnknownProblemError, brute_force_front, evaluate, get_problem
 
 # the RunConfig fields a compare variant may set over the shared base; every
@@ -339,6 +341,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
     if any(size < 1 for size in sizes):
         raise ConfigError(f"--sizes must all be >= 1, got {args.sizes!r}")
+    # a size n measures one array of _MEASURED_MULTIPLE * n doubles
+    largest = np.iinfo(np.intp).max // (8 * _MEASURED_MULTIPLE)
+    if any(size > largest for size in sizes):
+        raise ConfigError(
+            f"--sizes must all be at most {largest}, the largest whose measured "
+            "stream numpy can hold"
+        )
     if len(set(sizes)) < 2:
         raise ConfigError(f"sweep needs at least 2 distinct sizes, got {args.sizes!r}")
     if args.seed < 0:

@@ -38,10 +38,6 @@ class ObjectiveVector:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ObjectiveVector is immutable")
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -74,7 +74,9 @@ class ArchiveConfig:
     grid_lower: tuple[float, ...] | None = None
     grid_upper: tuple[float, ...] | None = None
 
-    def validate(self) -> None:
+    def validate(self, problem: ProblemSpec) -> None:
+        """Check every invariant, including those the problem's objectives
+        set: grid bounds of its dimension, and a floor for gps."""
         if self.kind not in ARCHIVE_KINDS:
             raise ConfigError(
                 f"unknown archive kind {self.kind!r}; expected one of {ARCHIVE_KINDS}"
@@ -92,6 +94,25 @@ class ArchiveConfig:
                 )
         if self.inflation < 0:
             raise ConfigError(f"inflation must be >= 0, got {self.inflation}")
+        if self.kind == "grid":
+            lower, upper = self._grid_bounds(problem.m)
+            if len(lower) != problem.m or len(upper) != problem.m:
+                raise ConfigError("grid bounds must match the problem's objective count")
+            if not all(lo < hi for lo, hi in zip(lower, upper)):
+                raise ConfigError(
+                    f"archive grid_lower {lower} must be strictly below grid_upper "
+                    f"{upper} on every axis"
+                )
+        if self.kind == "gps" and problem.objective_floor is None:
+            raise ConfigError(
+                f"gps archiver needs an objective floor, which {problem.id} does not define"
+            )
+
+    def _grid_bounds(self, m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """grid_lower and grid_upper, defaulting to 0 and 1 on each of m axes."""
+        lower = self.grid_lower if self.grid_lower is not None else (0.0,) * m
+        upper = self.grid_upper if self.grid_upper is not None else (1.0,) * m
+        return lower, upper
 
 
 @dataclass(frozen=True)
@@ -114,7 +135,7 @@ class RunConfig:
             problem = get_problem(self.problem)
         except UnknownProblemError as exc:
             raise ConfigError(str(exc)) from exc
-        self.archive.validate()
+        self.archive.validate(problem)
         if self.m is not None and self.m != problem.m:
             raise ConfigError(
                 f"configured m={self.m} but problem {problem.id} has m={problem.m}"
@@ -297,25 +318,13 @@ class RunResult:
 
 
 def build_archive(config: ArchiveConfig, problem: ProblemSpec) -> Archive:
-    config.validate()
+    config.validate(problem)
     if config.kind == "rn":
         return RnArchive(config.capacity)
     if config.kind == "grid":
-        lower = config.grid_lower if config.grid_lower is not None else (0.0,) * problem.m
-        upper = config.grid_upper if config.grid_upper is not None else (1.0,) * problem.m
-        if len(lower) != problem.m or len(upper) != problem.m:
-            raise ConfigError("grid bounds must match the problem's objective count")
-        if not all(lo < hi for lo, hi in zip(lower, upper)):
-            raise ConfigError(
-                f"archive grid_lower {lower} must be strictly below grid_upper {upper} "
-                "on every axis"
-            )
+        lower, upper = config._grid_bounds(problem.m)
         spec = GridSpec(ObjectiveVector(lower), ObjectiveVector(upper), config.divisions)
         return GridArchive(config.capacity, spec, config.inflation)
-    if problem.objective_floor is None:
-        raise ConfigError(
-            f"gps archiver needs an objective floor, which {problem.id} does not define"
-        )
     return GpsArchive(RaySpec(problem.objective_floor, config.rays_per_axis))
 
 

@@ -106,6 +106,23 @@ class TestCmdRun:
         assert capsys.readouterr().err == (
             f"configuration error: archive grid_lower {bounds} on every axis\n"
         )
+        assert not (tmp_path / "o").exists()
+
+    # sch has two objectives
+    @pytest.mark.parametrize(
+        "archive",
+        [
+            {"kind": "grid", "grid_lower": [0, 0, 0]},
+            {"kind": "grid", "grid_upper": [1]},
+        ],
+    )
+    def test_grid_bounds_of_another_length_exit_2(self, tmp_path, capsys, archive):
+        config = sch_config(tmp_path, archive=archive)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: grid bounds must match the problem's objective count\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_lattice_exits_2_before_running(self, tmp_path, capsys):
         config = write_config(
@@ -506,6 +523,38 @@ class TestBadInputExits2:
         assert main(["compare", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"configuration error: divisions {_TOO_LARGE}\n"
+        assert not out.exists()
+
+    def test_compare_grid_bounds_in_a_later_variant(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "compare.json",
+            problem="sch",
+            variants=[
+                {"archive": {"kind": "rn"}},
+                {"archive": {"kind": "grid", "grid_lower": [1, 0]}},
+            ],
+        )
+        out = tmp_path / "o"
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: archive grid_lower (1.0, 0.0) must be strictly "
+            "below grid_upper (1.0, 1.0) on every axis\n"
+        )
+        assert not out.exists()
+
+    # numpy would refuse either stream without allocating it, so a missing
+    # check fails this test instead of using memory
+    @pytest.mark.parametrize("size", [_HUGE, 2**62], ids=["401-digit", "2**62"])
+    def test_sweep_size_past_numpy_s_array_limit(self, tmp_path, capsys, size):
+        out = tmp_path / "o"
+        code = main(
+            ["sweep", "--archiver", "rn", "--sizes", f"5,{size}", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --sizes must all be at most 288230376151711743, "
+            "the largest whose measured stream numpy can hold\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -154,6 +156,15 @@ class TestConfigValidation:
     def test_m_mismatch(self):
         with pytest.raises(ConfigError):
             small_config(m=3).validate()
+
+    def test_gps_needs_an_objective_floor(self):
+        # every registered problem defines a floor, so this one has it removed
+        problem = dataclasses.replace(engine.get_problem("sch"), objective_floor=None)
+        ArchiveConfig("rn").validate(problem)
+        ArchiveConfig("grid").validate(problem)
+        message = "gps archiver needs an objective floor, which sch does not define"
+        with pytest.raises(ConfigError, match=message):
+            ArchiveConfig("gps").validate(problem)
 
     def test_lattice_up_to_the_enumeration_guard(self):
         # 100 x 100 is exactly the 10,000-point limit

@@ -32,6 +32,14 @@ RUNS = {
         "max_evaluations": 600,
         "replacement_count": 10,
     },
+    # the only pinned run whose rn archive overflows its capacity, so it pins
+    # the truncation victim's effect on the front and the counters
+    "rn-zdt1-truncating": {
+        "problem": "zdt1",
+        "archive": {"kind": "rn", "capacity": 10},
+        "preset": 3,
+        "max_evaluations": 1000,
+    },
     "gps-zdt2": {
         "problem": "zdt2",
         "archive": {"kind": "gps"},
@@ -56,6 +64,11 @@ DIGESTS = {
         "front_seed0.csv": "fdcab465fad4d61e4ff79488bba84deaeaa295e8b4f6d0a5f5132ebd5212ea93",
         "stats_seed0.jsonl": "56543cbd92d7b08371f474c6e62e61083fa48a5d8419efc720d38f96990b1d99",
         "summary.json": "dccccf4c346fb799b67e1df6ff51b8b829e705f30fef75cd4dee8a65dab469ef",
+    },
+    "rn-zdt1-truncating": {
+        "front_seed0.csv": "0f7a859422ca60b75eb76791b9d9ba2068c6234ee014fca88d7e5e1c55fc9432",
+        "stats_seed0.jsonl": "63e94eb8dcc4f662d481e1beba7809346e74522858526644ab61c7f708ba172d",
+        "summary.json": "0d65e20519863fde976ff756ab9adde1acf49156d16605054f0b248ab39f3d4e",
     },
     "sweep-gps": {
         "sweep_gps.csv": "871051fc893aa5be8f259f3a24b4d1b3c4012abda646f2283a86b019c4f9a156",
