@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import sys
 import types
 import typing
@@ -110,7 +109,7 @@ def _value(hint: object, value: object, path: str) -> object:
         expected = "float"
         if type(value) in (int, float):
             return _finite(value, path)
-    elif hint in (int, bool, str):
+    elif hint in (int, str):
         expected = hint.__name__
         if type(value) is hint:
             return value
@@ -159,6 +158,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{exc} in {path}") from None
     except ValueError as exc:  # also an int literal past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config root in {path} must be an object")
     return data
@@ -354,12 +355,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _output_dir(args.out)
     report = complexity_sweep(args.archiver, sizes, args.seed)
-    payload = report.to_dict()
-    # JSON has no token for an unbounded (two sizes) or undefined (constant
-    # means) interval end
-    payload["slope_ci"] = [c if math.isfinite(c) else None for c in report.slope_ci]
     (out / f"sweep_{args.archiver}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     csv_lines = ["n,mean_comparisons"]
     for size, mean in report.entries:

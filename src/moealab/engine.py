@@ -119,7 +119,6 @@ class ArchiveConfig:
 class RunConfig:
     problem: str
     archive: ArchiveConfig = field(default_factory=lambda: ArchiveConfig("grid"))
-    m: int | None = None
     population_size: int = 40
     variation: VariationConfig = field(default_factory=VariationConfig)
     local_search: LocalSearchConfig = field(default_factory=LocalSearchConfig)
@@ -136,10 +135,6 @@ class RunConfig:
         except UnknownProblemError as exc:
             raise ConfigError(str(exc)) from exc
         self.archive.validate(problem)
-        if self.m is not None and self.m != problem.m:
-            raise ConfigError(
-                f"configured m={self.m} but problem {problem.id} has m={problem.m}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.population_size < 2:
@@ -312,7 +307,6 @@ class RunResult:
     config: RunConfig
     front: list[Solution]
     stats: list[GenerationStats]
-    counters: Counters
     archive: Archive
     summary: dict
 
@@ -431,7 +425,7 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
             parents, config.variation, state.problem.bounds, state.rng, state.ids
         )
         child.objectives = _evaluate(state, child.genome)
-        if config.local_search.enabled:
+        if config.local_search.steps:
             child = local_search(
                 child,
                 state.problem,
@@ -493,12 +487,10 @@ def run(config: RunConfig) -> RunResult:
     }
     if isinstance(state.archive, GpsArchive):
         summary["gps_monotonic"] = state.archive.monotonicity_violations == 0
-        summary["occupied_rays"] = len(state.archive)
     return RunResult(
         config=config,
         front=front,
         stats=stats,
-        counters=state.counters,
         archive=state.archive,
         summary=summary,
     )

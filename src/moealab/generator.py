@@ -40,8 +40,7 @@ class VariationConfig:
 
 @dataclass(frozen=True)
 class LocalSearchConfig:
-    enabled: bool = False
-    steps: int = 0
+    steps: int = 0  # 0 runs no local search
     step_scale: float = 0.05
 
     def __post_init__(self):
@@ -271,8 +270,6 @@ def local_search(
     The returned solution is therefore never dominated by the seed. Every
     trial costs one evaluation, capped by max_evaluations when given.
     """
-    if not config.enabled or config.steps <= 0:
-        return seed_solution
     current = seed_solution
     n = len(seed_solution.genome)
     for _ in range(config.steps):

@@ -87,7 +87,9 @@ class ComplexityReport:
             "archiver": self.archiver,
             "entries": [[size, mean] for size, mean in self.entries],
             METRIC_CMP_SLOPE: self.slope,
-            "slope_ci": list(self.slope_ci),
+            # JSON has no token for an unbounded (two sizes) or undefined
+            # (constant means) interval end
+            "slope_ci": [c if math.isfinite(c) else None for c in self.slope_ci],
         }
 
 

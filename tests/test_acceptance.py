@@ -218,7 +218,7 @@ def test_acceptance_6_byte_reproducible_cli_outputs(tmp_path):
                 "max_evaluations": 600,
                 "seed": 12,
                 "archive": {"kind": "rn", "capacity": 24},
-                "local_search": {"enabled": True, "steps": 2, "step_scale": 0.05},
+                "local_search": {"steps": 2, "step_scale": 0.05},
             }
         )
     )
@@ -299,11 +299,9 @@ def test_acceptance_7_invariant_battery():
             max_evaluations=budget,
             replacement_count=int(rng.integers(1, pop + 1)),
             seed=case,
-            local_search=LocalSearchConfig(
-                enabled=ls_on, steps=3 if ls_on else 0, step_scale=0.1
-            ),
+            local_search=LocalSearchConfig(steps=3 if ls_on else 0, step_scale=0.1),
         )
         result = run(config)
-        assert result.counters.evaluations <= budget
+        assert result.summary["evaluations"] <= budget
         assert all(len(st.metrics) == 0 for st in result.stats)
     report(7, "invariant battery, >=1000 randomized cases per family", started)

@@ -169,11 +169,14 @@ class TestCmdRun:
                 "config.archive.grid_lower must be a list of numbers or null, got int 5",
             ),
             (
-                {"local_search": {"enabled": "yes"}},
-                "config.local_search.enabled must be bool, got str 'yes'",
+                {"local_search": {"steps": 1.5}},
+                "config.local_search.steps must be int, got float 1.5",
             ),
             ({"repeats": True}, "config.repeats must be int, got bool True"),
-            ({"m": "2"}, "config.m must be int or null, got str '2'"),
+            (
+                {"metrics_every": "2"},
+                "config.metrics_every must be int or null, got str '2'",
+            ),
             (
                 {"variation": {"crossover_prob": True}},
                 "config.variation.crossover_prob must be float, got bool True",
@@ -203,7 +206,7 @@ class TestCmdRun:
                 "grid_lower": [0, 0], "grid_upper": [4, 4],
             },
             variation={"crossover_prob": 1, "mutation_prob": None},
-            local_search={"enabled": True, "steps": 2, "step_scale": 0.1},
+            local_search={"steps": 2, "step_scale": 0.1},
         )
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 0
@@ -211,9 +214,9 @@ class TestCmdRun:
         assert json.dumps(summary["config"], sort_keys=True) == (
             '{"archive": {"capacity": 20, "divisions": 8, "grid_lower": [0.0, 0.0], '
             '"grid_upper": [4.0, 4.0], "inflation": 0, "kind": "grid", '
-            '"rays_per_axis": 64}, "local_search": {"enabled": true, '
-            '"step_scale": 0.1, "steps": 2}, "m": null, "max_evaluations": 300, '
-            '"metrics_every": 5, "population_size": 10, "preset": null, '
+            '"rays_per_axis": 64}, "local_search": {"step_scale": 0.1, "steps": 2}, '
+            '"max_evaluations": 300, "metrics_every": 5, "population_size": 10, '
+            '"preset": null, '
             '"problem": "sch", "replacement_count": 1, "seed": 3, "variation": '
             '{"archive_parent_prob": 0.5, "crossover_prob": 1, '
             '"crossover_spread": 15.0, "mutation_prob": null, "mutation_spread": 20.0}}'
@@ -391,6 +394,57 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: malformed JSON in {config}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("run", "@"),
+            ("compare", '{"problem": "sch", "variants": @}'),
+        ],
+        ids=["run", "compare"],
+    )
+    def test_json_nested_too_deeply(self, tmp_path, capsys, command, text):
+        # json.loads raises RecursionError here, which is not a ValueError
+        config = tmp_path / "config.json"
+        config.write_text(text.replace("@", "[" * 100_000 + "]" * 100_000))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        message = f"configuration error: malformed JSON in {config}: nested too deeply\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    # keys that once repeated a fact stated elsewhere: M is the problem's, and
+    # local search runs exactly when its steps are above 0
+    @pytest.mark.parametrize(
+        "command, base, variant, unknown",
+        [
+            ("run", {"m": 2}, None, "config: ['m']"),
+            ("run", {"local_search": {"enabled": True}}, None,
+             "config.local_search: ['enabled']"),
+            ("compare", {"m": 2}, {}, "config: ['m']"),
+            ("compare", {"local_search": {"enabled": True}}, {},
+             "config.local_search: ['enabled']"),
+            ("compare", {}, {"m": 2}, "variants[1]: ['m']"),
+            ("compare", {}, {"local_search": {"enabled": True, "steps": 2}},
+             "variants[1].local_search: ['enabled']"),
+        ],
+        ids=[
+            "run-m", "run-enabled", "compare-m", "compare-enabled",
+            "compare-variant-m", "compare-variant-enabled",
+        ],
+    )
+    def test_removed_key(self, tmp_path, capsys, command, base, variant, unknown):
+        if command == "run":
+            config = sch_config(tmp_path, **base)
+        else:
+            variants = [{"archive": {"kind": "rn"}}, {"archive": {"kind": "gps"}, **variant}]
+            config = write_config(
+                tmp_path / "compare.json", problem="sch", variants=variants, **base
+            )
+        out = tmp_path / "o"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: unknown keys in {unknown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -282,18 +282,16 @@ class TestLocalSearch:
         problem = get_problem("sch")
         seed_solution = Solution(0, (1.0,), evaluate(problem, (1.0,)))
         counters = Counters()
-        for config in (LocalSearchConfig(enabled=False, steps=5),
-                       LocalSearchConfig(enabled=True, steps=0)):
-            out = local_search(
-                seed_solution, problem, config, np.random.default_rng(0),
-                itertools.count(1), counters,
-            )
-            assert out is seed_solution
+        out = local_search(
+            seed_solution, problem, LocalSearchConfig(steps=0),
+            np.random.default_rng(0), itertools.count(1), counters,
+        )
+        assert out is seed_solution
         assert counters.evaluations == 0
 
     def test_output_never_dominated_by_seed_and_sometimes_improves(self):
         problem = get_problem("sch")
-        config = LocalSearchConfig(enabled=True, steps=10, step_scale=0.1)
+        config = LocalSearchConfig(steps=10, step_scale=0.1)
         improved = 0
         for trial in range(100):
             rng = np.random.default_rng(trial)
@@ -309,7 +307,7 @@ class TestLocalSearch:
 
     def test_on_front_seed_is_never_made_worse(self):
         problem = get_problem("sch")
-        config = LocalSearchConfig(enabled=True, steps=20, step_scale=0.05)
+        config = LocalSearchConfig(steps=20, step_scale=0.05)
         start = Solution(0, (1.0,), evaluate(problem, (1.0,)))  # on the front
         for trial in range(50):
             out = local_search(
@@ -320,7 +318,7 @@ class TestLocalSearch:
 
     def test_budget_cap_limits_evaluations(self):
         problem = get_problem("sch")
-        config = LocalSearchConfig(enabled=True, steps=50, step_scale=0.1)
+        config = LocalSearchConfig(steps=50, step_scale=0.1)
         counters = Counters()
         counters.evaluations = 97
         start = Solution(0, (-3.0,), evaluate(problem, (-3.0,)))

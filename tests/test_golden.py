@@ -89,7 +89,7 @@ GOLDEN = [
             problem="zdt1",
             archive=ArchiveConfig("grid", capacity=50),
             population_size=20,
-            local_search=LocalSearchConfig(enabled=True, steps=3),
+            local_search=LocalSearchConfig(steps=3),
             max_evaluations=800,
             seed=0,
         ),

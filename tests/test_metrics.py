@@ -194,6 +194,11 @@ class TestComplexitySweep:
         report = complexity_sweep("gps", [8, 16], seed=2)
         assert report.slope_ci == (-math.inf, math.inf)
 
+    def test_to_dict_writes_an_unbounded_interval_as_null(self):
+        report = complexity_sweep("gps", [8, 16], seed=2)
+        assert report.to_dict()["slope_ci"] == [None, None]
+        assert report.slope_ci == (-math.inf, math.inf)
+
     def test_report_shape_and_determinism(self):
         a = complexity_sweep("gps", [8, 16, 32], seed=4)
         b = complexity_sweep("gps", [8, 16, 32], seed=4)

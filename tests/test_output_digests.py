@@ -45,6 +45,14 @@ RUNS = {
         "archive": {"kind": "gps"},
         "max_evaluations": 1000,
     },
+    # the only pinned run with local search, whose trials draw from the run's
+    # stream between generate and the archive
+    "grid-sch-local-search": {
+        "problem": "sch",
+        "archive": {"kind": "grid", "capacity": 20},
+        "max_evaluations": 600,
+        "local_search": {"steps": 3, "step_scale": 0.1},
+    },
 }
 
 SWEEP_SIZES = {"rn": "10,20,40", "grid": "10,20,40", "gps": "8,16,32"}
@@ -53,22 +61,27 @@ DIGESTS = {
     "gps-zdt2": {
         "front_seed0.csv": "27d787a4753fc198a6471650de29893bbceda50ec676d05e315c8b4f78e191c0",
         "stats_seed0.jsonl": "acf3a6c86315bf024049a745a5212625281f1db3a3490f612a5b8e5e075d74e4",
-        "summary.json": "c79508de0d11f89363f3509db259824ba1d0ebeb2c456e3ba3be6df5477edbf3",
+        "summary.json": "8cefde7745111d754a36f78c3f7031c8b9bc3d8dc30845ab0b1e81eee490987b",
+    },
+    "grid-sch-local-search": {
+        "front_seed0.csv": "f2723e41fac62238b0f55faf0f16e7792a3a64195bbb489926a4241e83552810",
+        "stats_seed0.jsonl": "cd5bc2199f85039b1563fea51744a28a813076dac21c790126e185640f7f3e83",
+        "summary.json": "c755281c3eb49eca81ec08f27baed1dc5e489b5a937f9f940d99f7af210eafcd",
     },
     "grid-zdt1": {
         "front_seed0.csv": "fd37850c39cf32e04fa4cc11768a523cb733d93ac75161e339ef4a9c25b8f18c",
         "stats_seed0.jsonl": "9fe1aae9997a029bb1a8ac63e4c91fed272de1b37f5da284dc15252682c86783",
-        "summary.json": "fabcc97ab3d18df2957949c202cb8d2bf6ea76b5105c35a55f12c2fcf2d0f972",
+        "summary.json": "2e85b66fc85a39272adfe7c61420dc964c0c362b0ccf21950680aea2c8d2095c",
     },
     "rn-zdt1": {
         "front_seed0.csv": "fdcab465fad4d61e4ff79488bba84deaeaa295e8b4f6d0a5f5132ebd5212ea93",
         "stats_seed0.jsonl": "56543cbd92d7b08371f474c6e62e61083fa48a5d8419efc720d38f96990b1d99",
-        "summary.json": "dccccf4c346fb799b67e1df6ff51b8b829e705f30fef75cd4dee8a65dab469ef",
+        "summary.json": "fdca43ca801f41740f784420d0035f5b71ce5218018e175e7a99034a4e9a69fc",
     },
     "rn-zdt1-truncating": {
         "front_seed0.csv": "0f7a859422ca60b75eb76791b9d9ba2068c6234ee014fca88d7e5e1c55fc9432",
         "stats_seed0.jsonl": "63e94eb8dcc4f662d481e1beba7809346e74522858526644ab61c7f708ba172d",
-        "summary.json": "0d65e20519863fde976ff756ab9adde1acf49156d16605054f0b248ab39f3d4e",
+        "summary.json": "44850579df75e4aadb5a95a0543a90a8e486452c9be80959c7f6a1a361db8939",
     },
     "sweep-gps": {
         "sweep_gps.csv": "871051fc893aa5be8f259f3a24b4d1b3c4012abda646f2283a86b019c4f9a156",
