@@ -28,6 +28,9 @@ class RnArchive(NondominatedStore):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__()
         self.capacity = capacity
+        # strength_fitness's last inputs and result: the _objectives array it
+        # read, a snapshot of the population, and the fitness list
+        self._fitness_memo: tuple[np.ndarray, list[Solution], list[float]] | None = None
 
     def try_insert(
         self, candidate: Solution, counters: Counters
@@ -116,6 +119,14 @@ class RnArchive(NondominatedStore):
         1 plus the summed strength of the archive members that strictly
         dominate it, so anything nondominated by the whole archive scores
         exactly 1.
+
+        A call whose archive and population are those of the last call
+        returns a copy of the last result. The archive is unchanged when
+        `_objectives` is the array last read, since that array is replaced,
+        never mutated; the population is unchanged when each slot holds the
+        same Solution, by identity. So a population member's objectives must
+        never be reassigned after it is evaluated. The charge is made either
+        way.
         """
         members = self._members
         if counters is not None:
@@ -123,8 +134,15 @@ class RnArchive(NondominatedStore):
             counters.dominance_comparisons += len(members) * len(population)
         if not members or not population:
             return [1.0] * len(population)
+        objectives = self._objectives
+        snapshot = list(population)
+        memo = self._fitness_memo
+        if memo is not None and memo[0] is objectives and memo[1] == snapshot:
+            # callers may write into the list they get, so the memo's own
+            # list is never handed out
+            return list(memo[2])
         weak, strict = dominance_masks(
-            self._objectives,
+            objectives,
             np.array([p.objectives.values for p in population], dtype=float),
         )
         strengths = weak.sum(axis=1) / (len(population) + 1)
@@ -135,7 +153,9 @@ class RnArchive(NondominatedStore):
         terms = np.empty((len(members) + 1, len(population)))
         terms[0] = 1.0
         np.multiply(strict, strengths[:, None], out=terms[1:])
-        return np.add.accumulate(terms, axis=0)[-1].tolist()
+        fitness = np.add.accumulate(terms, axis=0)[-1].tolist()
+        self._fitness_memo = (objectives, snapshot, fitness)
+        return list(fitness)
 
 
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:

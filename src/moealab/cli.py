@@ -15,6 +15,7 @@ import json
 import sys
 import types
 import typing
+from collections import Counter
 from dataclasses import MISSING, asdict, replace
 from pathlib import Path
 from typing import Sequence
@@ -349,8 +350,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--sizes must all be at most {largest}, the largest whose measured "
             "stream numpy can hold"
         )
-    if len(set(sizes)) < 2:
-        raise ConfigError(f"sweep needs at least 2 distinct sizes, got {args.sizes!r}")
+    if len(sizes) < 2:
+        raise ConfigError(f"sweep needs at least 2 sizes, got {args.sizes!r}")
+    repeated = [size for size, count in Counter(sizes).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"--sizes must be distinct, got {repeated[0]} more than once")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _output_dir(args.out)

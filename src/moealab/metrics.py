@@ -194,8 +194,10 @@ def complexity_sweep(
     ordered = sorted(int(s) for s in sizes)
     if ordered[0] < 1:
         raise ValueError("sizes must be positive")
-    if ordered[0] == ordered[-1]:
-        raise ValueError("need at least 2 distinct sizes")
+    if len(set(ordered)) < len(ordered):
+        # a repeated size would enter the fit as one more observation and
+        # narrow the slope's interval without measuring anything new
+        raise ValueError(f"sizes must be distinct, got {list(sizes)}")
     entries = []
     for size in ordered:
         rng = np.random.default_rng(seed)

@@ -1,12 +1,19 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import moealab.archives.rn as rn_module
 from moealab import (
     Counters,
+    ObjectiveVector,
     RnArchive,
+    Solution,
     deterioration_check,
+    dominance_masks,
 )
 from oracles import (
     cluster_truncate_oracle,
@@ -197,6 +204,44 @@ def oracle_by_position(members, population, counters=None):
     return [want[p.id] for p in population]
 
 
+def checked_fitness(archive, population):
+    """One strength_fitness call, held to the oracle bit for bit and to the
+    n * P charge, whether it computed or reused its result."""
+    # a nonzero start, so the charge must be added, not assigned
+    counters = Counters()
+    counters.dominance_comparisons = 7
+    got = archive.strength_fitness(population, counters)
+    want = oracle_by_position(archive.members(), population)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert counters.dominance_comparisons == 7 + len(archive) * len(population)
+    return got
+
+
+def computing_calls():
+    """Counts the calls of strength_fitness that compute rather than reuse."""
+    return mock.patch.object(rn_module, "dominance_masks", wraps=dominance_masks)
+
+
+def reuse_fixture(m):
+    """An archive and a population whose fitness values are all distinct."""
+    archive = RnArchive(10)
+    if m == 2:
+        front = [(0.0, 4.0), (2.0, 2.0), (4.0, 0.0)]
+        crowd = [(1.0, 4.0), (6.0, 6.0), (6.0, 0.0), (2.0, 0.0), (3.0, 6.0)]
+    else:
+        front = [(0.0, 4.0, 2.0), (2.0, 2.0, 2.0), (4.0, 0.0, 2.0)]
+        crowd = [
+            (5.0, 4.0, 6.0), (1.0, 4.0, 6.0), (4.0, 1.0, 3.0), (0.0, 3.0, 6.0),
+            (2.0, 4.0, 4.0),
+        ]
+    for i, values in enumerate(front):
+        archive.try_insert(sol(i, values), Counters())
+    population = [sol(10 + k, values) for k, values in enumerate(crowd)]
+    fitness = oracle_by_position(archive.members(), population)
+    assert len(set(fitness)) == len(fitness)
+    return archive, population
+
+
 class TestStrengthFitness:
     def test_empty_archive_gives_unit_fitness(self):
         archive = RnArchive(5)
@@ -278,6 +323,94 @@ class TestStrengthFitness:
             archive.members(), [], want_counters
         )
         assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_returned_list_written_as_step_writes_it_leaves_the_next_call_exact(
+        self, m
+    ):
+        archive, population = reuse_fixture(m)
+        with computing_calls() as computing:
+            fitness = checked_fitness(archive, population)
+            # step sets an entrant's slot to the floor in the list it got
+            assert fitness[0] > 1.0
+            fitness[0] = 1.0
+            checked_fitness(archive, population)
+            assert computing.call_count == 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_the_same_solutions_in_another_order(self, m):
+        archive, population = reuse_fixture(m)
+        with computing_calls() as computing:
+            checked_fitness(archive, population)
+            checked_fitness(archive, population[::-1])
+            assert computing.call_count == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_slot_replaced_by_an_equal_copy_is_a_new_population(self, m):
+        archive, population = reuse_fixture(m)
+        with computing_calls() as computing:
+            checked_fitness(archive, population)
+            old = population[2]
+            population[2] = Solution(
+                old.id, old.genome, ObjectiveVector(old.objectives.values)
+            )
+            checked_fitness(archive, population)
+            assert computing.call_count == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_rejected_insertion_then_an_accepted_one(self, m):
+        archive, population = reuse_fixture(m)
+        with computing_calls() as computing:
+            before = checked_fitness(archive, population)
+            outcome, _ = archive.try_insert(sol(20, (6.0,) * m), Counters())
+            assert not outcome.accepted
+            checked_fitness(archive, population)
+            assert computing.call_count == 1
+            outcome, _ = archive.try_insert(sol(21, (1.0,) * m), Counters())
+            assert outcome.accepted
+            # the entrant changes some fitness, so a stale result would show
+            assert checked_fitness(archive, population) != before
+            assert computing.call_count == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_changes_match_the_oracle_on_every_call(self, m, data):
+        # lattice points, so insertions are accepted, rejected and truncating,
+        # and population members tie with one another and with the archive
+        point = st.tuples(*[st.integers(0, 4).map(float)] * m)
+        archive = RnArchive(data.draw(st.integers(1, 4), label="capacity"))
+        ids = itertools.count()
+        population = [
+            sol(next(ids), values)
+            for values in data.draw(st.lists(point, min_size=1, max_size=6))
+        ]
+        ops = st.sampled_from(["insert", "replace", "adopt", "copy", "swap", "none"])
+        # each step makes at most one change, then calls strength_fitness,
+        # writes into the list as step does, and calls it again unchanged
+        for _ in range(data.draw(st.integers(1, 20), label="steps")):
+            op = data.draw(ops)
+            slot = data.draw(st.integers(0, len(population) - 1))
+            if op == "insert":
+                archive.try_insert(sol(next(ids), data.draw(point)), Counters())
+            elif op == "replace":
+                population[slot] = sol(next(ids), data.draw(point))
+            elif op == "adopt" and len(archive):
+                population[slot] = data.draw(st.sampled_from(archive.members()))
+            elif op == "copy":
+                old = population[slot]
+                population[slot] = Solution(
+                    old.id, old.genome, ObjectiveVector(old.objectives.values)
+                )
+            elif op == "swap":
+                other = data.draw(st.integers(0, len(population) - 1))
+                population[slot], population[other] = population[other], population[slot]
+            with computing_calls() as computing:
+                fitness = checked_fitness(archive, population)
+                fitness[slot] = 1.0
+                checked_fitness(archive, population)
+            # the second call's inputs are the first's, so it computes nothing
+            assert computing.call_count <= 1
 
 
 class TestRnInvariants:

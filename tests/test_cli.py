@@ -611,6 +611,18 @@ class TestBadInputExits2:
         )
         assert not out.exists()
 
+    def test_sweep_repeated_size_among_distinct_ones(self, tmp_path, capsys):
+        # two distinct sizes and a repeat would fit a zero-width interval
+        out = tmp_path / "o"
+        code = main(["sweep", "--archiver", "gps", "--sizes", "3,2,3", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: --sizes must be distinct, got 3 more than once\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, name", [("--divisions", "divisions"), ("--rays", "rays_per_axis")]
     )

@@ -190,6 +190,12 @@ class TestComplexitySweep:
         with pytest.raises(ValueError):
             complexity_sweep("gps", [8, 8])
 
+    def test_a_repeated_size_among_distinct_ones_is_rejected(self):
+        # fitted as a third observation, the repeat would narrow the slope's
+        # interval to zero width from two distinct sizes
+        with pytest.raises(ValueError, match="distinct"):
+            complexity_sweep("gps", [2, 3, 3])
+
     def test_two_sizes_give_an_infinite_interval(self):
         report = complexity_sweep("gps", [8, 16], seed=2)
         assert report.slope_ci == (-math.inf, math.inf)
