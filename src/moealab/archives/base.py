@@ -106,11 +106,8 @@ class NondominatedStore(Archive):
       increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
       Each stair is paired with its member, and a member's position is its
       index in `_members`, found by identity (Solution compares by identity).
-    - other M: an (n, M) array whose row i is member i's objectives.
-
-    `_objectives` is that array for every M; at M = 2 it is built on the
-    first read after a change of membership. Either way it is replaced, never
-    mutated, so a reference to it is a snapshot.
+    - other M: `_rows`, an (n, M) array whose row i is member i's
+      objectives. M = 2 keeps no such array.
 
     No departure can dominate a member left after the insertion. Members
     never dominate one another, no member weakly dominates a candidate that
@@ -123,8 +120,8 @@ class NondominatedStore(Archive):
     def __init__(self) -> None:
         self._members: list[Solution] = []
         self._bi_objective = False
-        # None while M = 2 and the array is not built since the last change
-        self._rows: np.ndarray | None = np.empty((0, 0))
+        # M != 2 only: the members' objectives, row i for member i
+        self._rows: np.ndarray = np.empty((0, 0))
         # M = 2 only: the staircase, and the member of each stair
         self._stairs: list[tuple[float, ...]] = []
         self._stair_members: list[Solution] = []
@@ -134,15 +131,6 @@ class NondominatedStore(Archive):
 
     def __len__(self) -> int:
         return len(self._members)
-
-    @property
-    def _objectives(self) -> np.ndarray:
-        """The members' objectives as an (n, M) array, row i for member i."""
-        if self._rows is None:
-            self._rows = np.array(
-                [m.objectives.values for m in self._members], dtype=float
-            )
-        return self._rows
 
     def _sweep(self, candidate: Solution, counters: Counters) -> list[int] | None:
         """Test the candidate against every member: None when some member
@@ -196,7 +184,6 @@ class NondominatedStore(Archive):
             at = bisect_right(self._stairs, values)
             self._stairs.insert(at, values)
             self._stair_members.insert(at, member)
-            self._rows = None
         else:
             row = np.array([values], dtype=float)
             self._rows = np.concatenate((self._rows, row)) if self._members else row
@@ -215,7 +202,6 @@ class NondominatedStore(Archive):
                 at = bisect_left(self._stairs, m.objectives.values)
                 del self._stairs[at]
                 del self._stair_members[at]
-            self._rows = None
         else:
             self._rows = np.delete(self._rows, positions, axis=0)
         return departed

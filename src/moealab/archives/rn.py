@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from ..core import Counters, Solution, dominance_masks, pairwise_distances
+from ..core import (
+    Counters,
+    DimensionMismatchError,
+    Solution,
+    dominance_masks,
+    pairwise_distances,
+)
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore
 
 
@@ -28,9 +35,11 @@ class RnArchive(NondominatedStore):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__()
         self.capacity = capacity
-        # strength_fitness's last inputs and result: the _objectives array it
-        # read, a snapshot of the population, and the fitness list
-        self._fitness_memo: tuple[np.ndarray, list[Solution], list[float]] | None = None
+        # strength_fitness's last inputs and result: snapshots of the members
+        # and of the population, and the fitness list
+        self._fitness_memo: (
+            tuple[list[Solution], list[Solution], list[float]] | None
+        ) = None
 
     def try_insert(
         self, candidate: Solution, counters: Counters
@@ -63,7 +72,7 @@ class RnArchive(NondominatedStore):
             return []
         if self._bi_objective:
             return self._remove([self._staircase_victim()])
-        dist = pairwise_distances(self._objectives)
+        dist = pairwise_distances(self._rows)
         np.fill_diagonal(dist, np.inf)
         # dist is symmetric, so each tied pair shows up as (i, j) and (j, i);
         # the hit whose row holds the higher id stands for the pair. A flat
@@ -117,14 +126,15 @@ class RnArchive(NondominatedStore):
         Each archive member e has strength S(e) = |{p in population weakly
         dominated by e}| / (|population| + 1). A population member's fitness is
         1 plus the summed strength of the archive members that strictly
-        dominate it, so anything nondominated by the whole archive scores
-        exactly 1.
+        dominate it, added one at a time in member order, so anything
+        nondominated by the whole archive scores exactly 1. At M = 2 the
+        staircase gives each population member its dominators as one run of
+        stairs (_staircase_fitness); other M compare every pair at once with
+        dominance_masks.
 
         A call whose archive and population are those of the last call
-        returns a copy of the last result. The archive is unchanged when
-        `_objectives` is the array last read, since that array is replaced,
-        never mutated; the population is unchanged when each slot holds the
-        same Solution, by identity. So a population member's objectives must
+        returns a copy of the last result: each holds the same Solutions in
+        the same slots, by identity. So a population member's objectives must
         never be reassigned after it is evaluated. The charge is made either
         way.
         """
@@ -134,28 +144,86 @@ class RnArchive(NondominatedStore):
             counters.dominance_comparisons += len(members) * len(population)
         if not members or not population:
             return [1.0] * len(population)
-        objectives = self._objectives
+        roster = list(members)
         snapshot = list(population)
         memo = self._fitness_memo
-        if memo is not None and memo[0] is objectives and memo[1] == snapshot:
+        if memo is not None and memo[0] == roster and memo[1] == snapshot:
             # callers may write into the list they get, so the memo's own
             # list is never handed out
             return list(memo[2])
-        weak, strict = dominance_masks(
-            objectives,
-            np.array([p.objectives.values for p in population], dtype=float),
-        )
-        strengths = weak.sum(axis=1) / (len(population) + 1)
-        # row 0 is the floor of 1, row r the strength of member r - 1 where it
-        # dominates; accumulating down the rows adds them in member order,
-        # exactly as a scalar loop would (a pairwise sum could differ in the
-        # last bit)
-        terms = np.empty((len(members) + 1, len(population)))
-        terms[0] = 1.0
-        np.multiply(strict, strengths[:, None], out=terms[1:])
-        fitness = np.add.accumulate(terms, axis=0)[-1].tolist()
-        self._fitness_memo = (objectives, snapshot, fitness)
+        if self._bi_objective:
+            fitness = self._staircase_fitness(snapshot)
+        else:
+            weak, strict = dominance_masks(
+                self._rows,
+                np.array([p.objectives.values for p in snapshot], dtype=float),
+            )
+            strengths = weak.sum(axis=1) / (len(snapshot) + 1)
+            # row 0 is the floor of 1, row r the strength of member r - 1
+            # where it dominates; accumulating down the rows adds them in
+            # member order, exactly as a scalar loop would (a pairwise sum
+            # could differ in the last bit)
+            terms = np.empty((len(members) + 1, len(snapshot)))
+            terms[0] = 1.0
+            np.multiply(strict, strengths[:, None], out=terms[1:])
+            fitness = np.add.accumulate(terms, axis=0)[-1].tolist()
+        self._fitness_memo = (roster, snapshot, fitness)
         return list(fitness)
+
+    def _staircase_fitness(self, population: list[Solution]) -> list[float]:
+        """strength_fitness at M = 2, from the staircase.
+
+        The stairs that weakly dominate a point v form one run: those with
+        f1 <= v[0] are a prefix, and f2 falls along it, so those with
+        f2 <= v[1] are the prefix's tail. A stair equal to v ends the run and
+        does not dominate v strictly. A population member that is an archive
+        member is weakly dominated by its own stair alone. A stair's count of
+        the population members it weakly dominates is the number of runs
+        covering it, summed from a difference array.
+        """
+        stairs = self._stairs
+        owners = self._stair_members
+        stair_of = dict(zip(owners, range(len(owners))))
+        ends = [0] * (len(stairs) + 1)
+        # per population member, the run of stairs that strictly dominate it
+        runs = []
+        for p in population:
+            k = stair_of.get(p)
+            if k is not None:
+                ends[k] += 1
+                ends[k + 1] -= 1
+                runs.append((k, k))
+                continue
+            v = p.objectives.values
+            if len(v) != 2:
+                raise DimensionMismatchError(f"dimension mismatch: 2 vs {len(v)}")
+            y = v[1]
+            i = bisect_right(stairs, v)
+            start = i
+            while start and stairs[start - 1][1] <= y:
+                start -= 1
+            ends[start] += 1
+            ends[i] -= 1
+            runs.append((start, i - 1 if i and stairs[i - 1] == v else i))
+        share = len(population) + 1
+        strengths = [c / share for c in itertools.accumulate(ends[:-1])]
+        rank = None
+        fitness = []
+        for start, end in runs:
+            total = 1.0
+            if end - start == 1:
+                total += strengths[start]
+            elif end - start > 1:
+                if rank is None:
+                    position = dict(zip(self._members, range(len(owners))))
+                    rank = [position[m] for m in owners]
+                # one addition at a time in member order, as the numpy path
+                # accumulates; sum() compensates on Python >= 3.12, which
+                # could differ in the last bit
+                for s in sorted(range(start, end), key=rank.__getitem__):
+                    total += strengths[s]
+            fitness.append(total)
+        return fitness
 
 
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:

@@ -340,9 +340,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
+        raise ConfigError(f"bad --sizes value {_describe(args.sizes)}") from exc
     if any(size < 1 for size in sizes):
-        raise ConfigError(f"--sizes must all be >= 1, got {args.sizes!r}")
+        raise ConfigError(f"--sizes must all be >= 1, got {_describe(args.sizes)}")
     # a size n measures one array of _MEASURED_MULTIPLE * n doubles
     largest = np.iinfo(np.intp).max // (8 * _MEASURED_MULTIPLE)
     if any(size > largest for size in sizes):
@@ -351,7 +351,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "stream numpy can hold"
         )
     if len(sizes) < 2:
-        raise ConfigError(f"sweep needs at least 2 sizes, got {args.sizes!r}")
+        raise ConfigError(f"sweep needs at least 2 sizes, got {_describe(args.sizes)}")
     repeated = [size for size, count in Counter(sizes).items() if count > 1]
     if repeated:
         raise ConfigError(f"--sizes must be distinct, got {repeated[0]} more than once")

@@ -424,3 +424,18 @@ def tradeoff_solutions(
 
 def members_values(archive) -> list[tuple[float, ...]]:
     return [s.objectives.values for s in archive.members()]
+
+
+def check_store_follows_members(archive) -> None:
+    """A NondominatedStore's own record of its members' objectives is theirs:
+    at M = 2 the staircase is their tuples sorted by f1, each stair paired with
+    the member that owns it; at other M row i of the array is member i's."""
+    members = archive.members()
+    if archive._bi_objective:
+        assert archive._stairs == sorted(members_values(archive), key=lambda v: v[0])
+        assert len(archive._stair_members) == len(archive._stairs)
+        for stair, owner in zip(archive._stairs, archive._stair_members):
+            assert owner.objectives.values == stair
+        assert {id(m) for m in archive._stair_members} == {id(m) for m in members}
+    else:
+        assert archive._rows.tolist() == [list(m.objectives.values) for m in members]

@@ -14,6 +14,7 @@ from moealab import (
     RnArchive,
 )
 from oracles import (
+    check_store_follows_members,
     oracle_pairwise_nondominating,
     random_solutions,
     sol,
@@ -56,16 +57,14 @@ def test_members_returns_a_snapshot(kind):
 
 @pytest.mark.parametrize("kind", ("rn", "grid"))
 def test_store_objectives_follow_members(kind):
-    """A NondominatedStore's array row i is members()[i]'s objectives after
-    every insertion."""
+    """A NondominatedStore's staircase (M = 2) or array (other M) follows
+    members() after every insertion."""
     archive = make_archive(kind)
-    assert len(archive._objectives) == 0
+    check_store_follows_members(archive)
     counters = Counters()
     for s in tradeoff_solutions(np.random.default_rng(7), 80):
         archive.try_insert(s, counters)
-        assert archive._objectives.tolist() == [
-            list(m.objectives.values) for m in archive.members()
-        ]
+        check_store_follows_members(archive)
 
 
 @pytest.mark.parametrize("m, other", [(2, 3), (3, 2)])
@@ -87,7 +86,7 @@ def test_store_refuses_a_candidate_of_another_dimension(kind, m, other):
         archive.try_insert(sol(99, (0.5,) * other), counters)
     assert counters == charged
     assert archive.members() == before
-    assert archive._objectives.tolist() == [list(s.objectives.values) for s in before]
+    check_store_follows_members(archive)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import moealab.archives.rn as rn_module
 from moealab import (
     Counters,
+    DimensionMismatchError,
     ObjectiveVector,
     RnArchive,
     Solution,
@@ -16,6 +18,7 @@ from moealab import (
     dominance_masks,
 )
 from oracles import (
+    check_store_follows_members,
     cluster_truncate_oracle,
     members_values,
     oracle_pairwise_nondominating,
@@ -168,16 +171,13 @@ def check_truncate_against_oracle(points, data):
         archive.try_insert(sol(i, values), Counters())
     members = archive.members()
     assume(len(members) >= 2)
-    by_id = {m.id: m for m in members}
     # one overflow: capacity n - 1
     archive.capacity = len(members) - 1
     departed = archive.cluster_truncate()
     want_departed, want_kept = cluster_truncate_oracle(members, archive.capacity)
     assert [m.id for m in departed] == want_departed
     assert [m.id for m in archive.members()] == want_kept
-    assert archive._objectives.tolist() == [
-        list(by_id[i].objectives.values) for i in want_kept
-    ]
+    check_store_follows_members(archive)
 
 
 class TestClusterTruncateMatchesOracle:
@@ -217,9 +217,26 @@ def checked_fitness(archive, population):
     return got
 
 
+@contextlib.contextmanager
 def computing_calls():
-    """Counts the calls of strength_fitness that compute rather than reuse."""
-    return mock.patch.object(rn_module, "dominance_masks", wraps=dominance_masks)
+    """Counts the calls of strength_fitness that compute rather than reuse:
+    those that walk the staircase at M = 2 or call dominance_masks at other M."""
+    computing = mock.Mock()
+    staircase = RnArchive._staircase_fitness
+
+    def counted_masks(*args):
+        computing()
+        return dominance_masks(*args)
+
+    def counted_staircase(self, population):
+        computing()
+        return staircase(self, population)
+
+    with (
+        mock.patch.object(rn_module, "dominance_masks", counted_masks),
+        mock.patch.object(RnArchive, "_staircase_fitness", counted_staircase),
+    ):
+        yield computing
 
 
 def reuse_fixture(m):
@@ -323,6 +340,62 @@ class TestStrengthFitness:
             archive.members(), [], want_counters
         )
         assert got_counters.dominance_comparisons == want_counters.dominance_comparisons == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_staircase_matches_the_oracle_bit_for_bit(self, data):
+        # lattice coordinates with both zeros, so stairs tie with population
+        # members, long runs of stairs dominate one point, and member order
+        # (arrival, then truncation) differs from stair order
+        coordinate = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        point = st.tuples(coordinate, coordinate)
+        archive = RnArchive(data.draw(st.integers(2, 8), label="capacity"))
+        arrivals = data.draw(st.lists(point, min_size=1, max_size=20), label="arrivals")
+        for i, values in enumerate(arrivals):
+            archive.try_insert(sol(i, values), Counters())
+        assert archive._bi_objective
+        members = archive.members()
+        population = []
+        for k in range(data.draw(st.integers(1, 12), label="population size")):
+            source = data.draw(st.sampled_from(["point", "member", "copy"]))
+            if source == "point":
+                population.append(sol(100 + k, data.draw(point)))
+                continue
+            member = data.draw(st.sampled_from(members))
+            if source == "copy":
+                member = sol(200 + k, member.objectives.values)
+            population.append(member)
+        checked_fitness(archive, population)
+
+    def test_dominators_are_added_in_member_order_not_stair_order(self):
+        # members arrive as (0, 3), (2, 1), (1, 2); the stairs run (0, 3),
+        # (1, 2), (2, 1). Of the population, (2, 2) is strictly dominated by
+        # (2, 1), of strength 2/3 (it also weakly dominates its copy), and by
+        # (1, 2), of strength 1/3
+        archive = RnArchive(5)
+        for i, values in enumerate([(0.0, 3.0), (2.0, 1.0), (1.0, 2.0)]):
+            archive.try_insert(sol(i, values), Counters())
+        population = [sol(10, (2.0, 1.0)), sol(11, (2.0, 2.0))]
+        member_order = 1.0 + 2 / 3 + 1 / 3
+        stair_order = 1.0 + 1 / 3 + 2 / 3
+        assert member_order.hex() != stair_order.hex()
+        fitness = checked_fitness(archive, population)
+        assert [x.hex() for x in fitness] == [(1.0).hex(), member_order.hex()]
+
+    @pytest.mark.parametrize("m, other", [(2, 3), (3, 2)])
+    def test_a_population_member_of_another_dimension_raises(self, m, other):
+        archive, _ = reuse_fixture(m)
+        with pytest.raises(DimensionMismatchError):
+            archive.strength_fitness([sol(99, (1.0,) * other)])
+
+    def test_bi_objective_fitness_builds_no_array(self):
+        archive, population = reuse_fixture(2)
+        # any attribute read of the module's numpy, or a masks call, raises
+        with (
+            mock.patch.object(rn_module, "np", mock.NonCallableMock(spec=[])),
+            mock.patch.object(rn_module, "dominance_masks", None),
+        ):
+            checked_fitness(archive, population)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_a_returned_list_written_as_step_writes_it_leaves_the_next_call_exact(

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moealab import Counters, GridArchive, GridSpec, ObjectiveVector, RnArchive
-from oracles import OracleTruncateRn, ScalarSweepGrid, ScalarSweepRn, sol
+from oracles import (
+    OracleTruncateRn,
+    ScalarSweepGrid,
+    ScalarSweepRn,
+    check_store_follows_members,
+    sol,
+)
 
 
 class OracleRn(ScalarSweepRn, OracleTruncateRn):
@@ -92,9 +98,7 @@ def check_against_oracle(kind, capacity, stream):
         if kind == "grid":
             assert archive.spec == oracle.spec
             assert archive.cell_occupancy() == oracle.cell_occupancy()
-    assert archive._objectives.tolist() == [
-        list(m.objectives.values) for m in archive.members()
-    ]
+    check_store_follows_members(archive)
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))

@@ -25,6 +25,7 @@ from moealab import (
 )
 from moealab.metrics import _MEASURED_MULTIPLE, _incomparable_stream
 from oracles import (
+    check_store_follows_members,
     OracleTruncateRn,
     ScalarSweepGrid,
     ScalarSweepRn,
@@ -121,9 +122,7 @@ def test_broadcast_sweep_matches_scalar_sweep(kind, stream, seed):
         assert state(archive, departed) == state(oracle, oracle_departed)
         assert len(archive) == len(archive.members())
         assert len(oracle) == len(oracle.members())
-        assert archive._objectives.tolist() == [
-            list(m.objectives.values) for m in archive.members()
-        ]
+        check_store_follows_members(archive)
         outcome = got[0]
         if equals_member and not outcome.accepted:
             seen["equal_rejected"] += 1
@@ -166,7 +165,8 @@ def test_rn_truncation_matches_the_pair_scan_on_the_sweep_stream(size):
         assert [m.id for m in got[0].departed] == [m.id for m in want[0].departed]
         assert [m.id for m in archive.members()] == [m.id for m in oracle.members()]
         assert len(archive) == len(archive.members())
-        assert archive._objectives.tolist() == oracle._objectives.tolist()
+        check_store_follows_members(archive)
+        check_store_follows_members(oracle)
         truncated += len(archive.members()) == size and bool(got[0].departed)
     assert counters == oracle_counters
     assert truncated >= _MEASURED_MULTIPLE * size

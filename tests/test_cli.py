@@ -696,6 +696,29 @@ class TestCmdSweep:
             ["sweep", "--archiver", "rn", "--sizes", "25", "--out", str(tmp_path)]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "sizes, problem",
+        [
+            (",".join(["0"] * 5000), "must all be >= 1"),
+            (",".join(["x"] * 5000), "bad --sizes value"),
+            ("," * 5000 + "7", "needs at least 2 sizes"),
+        ],
+        ids=["zeros", "not-integers", "one-size"],
+    )
+    def test_a_long_sizes_string_is_cut_in_the_error_line(
+        self, tmp_path, capsys, sizes, problem
+    ):
+        out = tmp_path / "o"
+        code = main(["sweep", "--archiver", "gps", "--sizes", sizes, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert problem in line
+        assert f"… ({len(repr(sizes))} characters)" in line
+        assert len(line) < 200
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", ["0,5", "5,5"])
     def test_non_positive_or_repeated_sizes_exit_2(self, tmp_path, sizes):
         assert main(
