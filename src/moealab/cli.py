@@ -45,9 +45,7 @@ _VARIANT_ONLY = ("archive", "preset")
 _SHOWN_CHARS = 60
 
 
-def _describe(value: object) -> str:
-    if value is None:
-        return "null"
+def _shorten(value: object) -> str:
     text = repr(value)
     if len(text) > _SHOWN_CHARS:
         if isinstance(value, int):
@@ -55,7 +53,13 @@ def _describe(value: object) -> str:
         else:
             size = f"{len(text)} characters"
         text = f"{text[:_SHOWN_CHARS]}… ({size})"
-    return f"{type(value).__name__} {text}"
+    return text
+
+
+def _describe(value: object) -> str:
+    if value is None:
+        return "null"
+    return f"{type(value).__name__} {_shorten(value)}"
 
 
 def _finite(value: int | float, path: str) -> int | float:
@@ -340,9 +344,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --sizes value {_describe(args.sizes)}") from exc
+        raise ConfigError(f"bad --sizes value {_shorten(args.sizes)}") from exc
     if any(size < 1 for size in sizes):
-        raise ConfigError(f"--sizes must all be >= 1, got {_describe(args.sizes)}")
+        raise ConfigError(f"--sizes must all be >= 1, got {_shorten(args.sizes)}")
     # a size n measures one array of _MEASURED_MULTIPLE * n doubles
     largest = np.iinfo(np.intp).max // (8 * _MEASURED_MULTIPLE)
     if any(size > largest for size in sizes):
@@ -351,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "stream numpy can hold"
         )
     if len(sizes) < 2:
-        raise ConfigError(f"sweep needs at least 2 sizes, got {_describe(args.sizes)}")
+        raise ConfigError(f"sweep needs at least 2 sizes, got {_shorten(args.sizes)}")
     repeated = [size for size, count in Counter(sizes).items() if count > 1]
     if repeated:
         raise ConfigError(f"--sizes must be distinct, got {repeated[0]} more than once")

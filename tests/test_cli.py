@@ -719,6 +719,22 @@ class TestCmdSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sizes, line",
+        [
+            ("0,5", "--sizes must all be >= 1, got '0,5'"),
+            ("5,x", "bad --sizes value '5,x'"),
+            ("7", "sweep needs at least 2 sizes, got '7'"),
+        ],
+        ids=["zero", "not-an-integer", "one-size"],
+    )
+    def test_a_short_sizes_string_is_shown_whole(self, tmp_path, capsys, sizes, line):
+        out = tmp_path / "o"
+        code = main(["sweep", "--archiver", "gps", "--sizes", sizes, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {line}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", ["0,5", "5,5"])
     def test_non_positive_or_repeated_sizes_exit_2(self, tmp_path, sizes):
         assert main(
