@@ -6,6 +6,7 @@ membership changed (the outcome), so the engine can stay archiver-agnostic.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
@@ -106,6 +107,9 @@ class NondominatedStore(Archive):
       increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
       Each stair is paired with its member, and a member's position is its
       index in `_members`, found by identity (Solution compares by identity).
+      The gaps between neighbouring stairs are measured on the first call of
+      _neighbour_gaps, and from then on _append and _remove keep them: an
+      insertion splits one gap in two, and a removal merges two into one.
     - other M: `_rows`, an (n, M) array whose row i is member i's
       objectives. M = 2 keeps no such array.
 
@@ -125,6 +129,9 @@ class NondominatedStore(Archive):
         # M = 2 only: the staircase, and the member of each stair
         self._stairs: list[tuple[float, ...]] = []
         self._stair_members: list[Solution] = []
+        # M = 2 only, and None until _neighbour_gaps is first called: gap k
+        # is the _distance from stair k to stair k + 1
+        self._gaps: list[float] | None = None
 
     def members(self) -> list[Solution]:
         return list(self._members)
@@ -176,13 +183,32 @@ class NondominatedStore(Archive):
             end += 1
         return sorted(map(self._members.index, self._stair_members[i:end]))
 
+    def _neighbour_gaps(self) -> list[float]:
+        """The _distance from each stair to the next, in stair order (M = 2).
+        The first call measures them; the store keeps them from then on."""
+        if self._gaps is None:
+            stairs = self._stairs
+            self._gaps = [_distance(a, b) for a, b in zip(stairs, stairs[1:])]
+        return self._gaps
+
     def _append(self, member: Solution) -> None:
         values = member.objectives.values
         if not self._members:
             self._bi_objective = len(values) == 2
         if self._bi_objective:
-            at = bisect_right(self._stairs, values)
-            self._stairs.insert(at, values)
+            stairs = self._stairs
+            at = bisect_right(stairs, values)
+            gaps = self._gaps
+            if gaps is not None:
+                # the gap between the new stair's neighbours, where there are
+                # two, becomes the gaps from each of them to it
+                split = []
+                if at:
+                    split.append(_distance(stairs[at - 1], values))
+                if at < len(stairs):
+                    split.append(_distance(values, stairs[at]))
+                gaps[max(at - 1, 0) : at] = split
+            stairs.insert(at, values)
             self._stair_members.insert(at, member)
         else:
             row = np.array([values], dtype=float)
@@ -197,11 +223,30 @@ class NondominatedStore(Archive):
         for p in reversed(positions):
             del members[p]
         if self._bi_objective:
+            stairs = self._stairs
+            gaps = self._gaps
             for m in departed:
                 # members are mutually nondominated, so no two share a tuple
-                at = bisect_left(self._stairs, m.objectives.values)
-                del self._stairs[at]
+                at = bisect_left(stairs, m.objectives.values)
+                if gaps is not None:
+                    # the gaps on either side of the stair become the one
+                    # between its neighbours, where it has two
+                    merged = (
+                        [_distance(stairs[at - 1], stairs[at + 1])]
+                        if 0 < at < len(stairs) - 1
+                        else []
+                    )
+                    gaps[max(at - 1, 0) : at + 1] = merged
+                del stairs[at]
                 del self._stair_members[at]
         else:
             self._rows = np.delete(self._rows, positions, axis=0)
         return departed
+
+
+def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """The Euclidean distance between two bi-objective points, summing the
+    squares in pairwise_distances' order."""
+    d0 = b[0] - a[0]
+    d1 = b[1] - a[1]
+    return math.sqrt(d0 * d0 + d1 * d1)

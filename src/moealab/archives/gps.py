@@ -60,22 +60,28 @@ def ray_of(
         raise DimensionMismatchError(
             f"dimension mismatch: {len(values)} vs {len(reference)}"
         )
-    u = tuple(map(sub, values, reference))
-    if min(u) < 0:
+    if len(values) == 2:
+        # two scalar offsets: no tuple is built for the one angle
+        x = values[0] - reference[0]
+        y = values[1] - reference[1]
+        below, degenerate = x < 0 or y < 0, not (x or y)
+    else:
+        u = tuple(map(sub, values, reference))
+        below, degenerate = min(u) < 0, not any(u)
+    if below:
         raise ValueError(
             f"{v} is below the reference point {spec.reference} in some component"
         )
-    if not any(u):
+    if degenerate:
         raise DegenerateDirectionError(
             f"{v} equals the reference point; direction undefined"
         )
     if counters is not None:
         counters.cell_lookups += 1
     k_rays = spec.rays_per_axis
-    if len(u) == 2:
-        # one angle, taken from the offset itself, so no square can underflow
-        # or overflow
-        x, y = u
+    if len(values) == 2:
+        # one angle, taken from the offsets themselves, so no square can
+        # underflow or overflow
         c = int(math.atan2(abs(y), x) / _QUARTER * k_rays)
         return (c if c < k_rays else k_rays - 1,)
     coords = []

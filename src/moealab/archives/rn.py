@@ -10,7 +10,6 @@ later-retained one (see the deterioration tests).
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from operator import attrgetter
 from typing import Sequence
@@ -24,7 +23,7 @@ from ..core import (
     dominance_masks,
     pairwise_distances,
 )
-from .base import FeedbackSignal, InsertOutcome, NondominatedStore
+from .base import FeedbackSignal, InsertOutcome, NondominatedStore, _distance
 
 
 class RnArchive(NondominatedStore):
@@ -94,18 +93,18 @@ class RnArchive(NondominatedStore):
         |df2|, and rounding is monotone, so no pair is closer than the least
         neighbour gap, and a pair ties it only if it starts at a gap equal to
         it. Each distance is the float pairwise_distances computes: 0.0 plus
-        the first square is exact, then the second square is added.
+        the first square is exact, then the second square is added. The gaps
+        are measured at the first overflow and kept by the store from then
+        on, so a truncation measures none of them again.
         """
         stairs = self._stairs
-        gaps = [
-            _distance(a, b) for a, b in zip(stairs, itertools.islice(stairs, 1, None))
-        ]
+        gaps = self._neighbour_gaps()
         least = min(gaps)
         owners = self._stair_members
         pairs = []
-        for i, gap in enumerate(gaps):
-            if gap != least:
-                continue
+        i = -1
+        for _ in range(gaps.count(least)):
+            i = gaps.index(least, i + 1)
             # the stairs after i that tie the least gap form a run; it is
             # longer than one only where distances round to 0 or overflow
             j = i + 1
@@ -154,6 +153,13 @@ class RnArchive(NondominatedStore):
         if self._bi_objective:
             fitness = self._staircase_fitness(snapshot)
         else:
+            m = self._rows.shape[1]
+            for p in snapshot:
+                # numpy would refuse rows of mixed lengths with its own error
+                if len(p.objectives.values) != m:
+                    raise DimensionMismatchError(
+                        f"dimension mismatch: {m} vs {len(p.objectives.values)}"
+                    )
             weak, strict = dominance_masks(
                 self._rows,
                 np.array([p.objectives.values for p in snapshot], dtype=float),
@@ -228,10 +234,3 @@ class RnArchive(NondominatedStore):
             fitness.append(total)
         return fitness
 
-
-def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    """The Euclidean distance between two bi-objective points, summing the
-    squares in pairwise_distances' order."""
-    d0 = b[0] - a[0]
-    d1 = b[1] - a[1]
-    return math.sqrt(d0 * d0 + d1 * d1)

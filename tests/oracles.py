@@ -27,6 +27,7 @@ from moealab import (
     compare,
     dominance_masks,
 )
+from moealab.archives.base import _distance
 from moealab.generator import _polynomial_mutation
 
 
@@ -429,13 +430,19 @@ def members_values(archive) -> list[tuple[float, ...]]:
 def check_store_follows_members(archive) -> None:
     """A NondominatedStore's own record of its members' objectives is theirs:
     at M = 2 the staircase is their tuples sorted by f1, each stair paired with
-    the member that owns it; at other M row i of the array is member i's."""
+    the member that owns it, and the neighbour gaps, once kept, are those
+    measured afresh from the staircase, bit for bit; at other M row i of the
+    array is member i's."""
     members = archive.members()
     if archive._bi_objective:
-        assert archive._stairs == sorted(members_values(archive), key=lambda v: v[0])
-        assert len(archive._stair_members) == len(archive._stairs)
-        for stair, owner in zip(archive._stairs, archive._stair_members):
+        stairs = archive._stairs
+        assert stairs == sorted(members_values(archive), key=lambda v: v[0])
+        assert len(archive._stair_members) == len(stairs)
+        for stair, owner in zip(stairs, archive._stair_members):
             assert owner.objectives.values == stair
         assert {id(m) for m in archive._stair_members} == {id(m) for m in members}
+        if archive._gaps is not None:
+            fresh = [_distance(a, b) for a, b in zip(stairs, stairs[1:])]
+            assert [g.hex() for g in archive._gaps] == [g.hex() for g in fresh]
     else:
         assert archive._rows.tolist() == [list(m.objectives.values) for m in members]

@@ -141,6 +141,31 @@ def ray_cases(draw):
     return ObjectiveVector(values), RaySpec(ObjectiveVector(reference), k)
 
 
+signed_zero = st.sampled_from((-0.0, 0.0))
+
+
+@st.composite
+def bi_objective_ray_cases(draw):
+    """A vector and a spec with M = 2, the reference often a signed zero:
+    each offset is zero (the value equals the reference, or both are signed
+    zeros), one float step above or below it, or anything."""
+    reference = [draw(st.one_of(signed_zero, finite)) for _ in range(2)]
+    values = []
+    for r in reference:
+        kind = draw(st.sampled_from(("equal", "signed_zero", "step", "any")))
+        if kind == "equal":
+            values.append(r)
+        elif kind == "signed_zero":
+            values.append(draw(signed_zero))
+        elif kind == "step":
+            toward = draw(st.sampled_from((math.inf, -math.inf)))
+            values.append(math.nextafter(r, toward))
+        else:
+            values.append(draw(finite))
+    k = draw(st.integers(1, 4096))
+    return ObjectiveVector(values), RaySpec(ObjectiveVector(reference), k)
+
+
 def edge_case(u, k):
     return ObjectiveVector(u), RaySpec(ObjectiveVector((0.0,) * len(u)), k)
 
@@ -194,6 +219,31 @@ class TestRayOfMatchesOracle:
         index = ray_of(v, spec)
         assert index == coords
         assert type(index) is tuple
+
+    @settings(max_examples=400, deadline=None)
+    @given(bi_objective_ray_cases())
+    @example((ObjectiveVector((-0.0, 1.0)), spec_k(8)))
+    @example((ObjectiveVector((1.0, -0.0)), spec_k(8)))
+    @example((ObjectiveVector((0.0, 0.0)), spec_k(8, (-0.0, -0.0))))
+    @example((ObjectiveVector((-0.0, -0.0)), spec_k(8)))
+    @example((ObjectiveVector((0.0, 3.0)), spec_k(8, (-0.0, 3.0))))
+    @example((ObjectiveVector((-1e-300, 1.0)), spec_k(8)))
+    def test_bi_objective_coords_errors_and_charge_match_the_loop(self, case):
+        # M = 2 takes its own path through ray_of: two scalar offsets in
+        # place of the tuple of offsets
+        v, spec = case
+        counters = Counters()
+        try:
+            coords = ray_of_oracle(v, spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ray_of(v, spec, counters)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            assert counters.cell_lookups == 0
+            return
+        assert ray_of(v, spec, counters) == coords
+        assert counters.cell_lookups == 1
 
     @pytest.mark.parametrize("case", SUMMATION_ORDER_EDGES)
     def test_edges_tell_the_summation_orders_apart(self, case):

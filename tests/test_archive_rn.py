@@ -388,6 +388,13 @@ class TestStrengthFitness:
         with pytest.raises(DimensionMismatchError):
             archive.strength_fitness([sol(99, (1.0,) * other)])
 
+    def test_a_population_mixing_dimensions_raises_the_mismatch(self):
+        # one member of another length among the right ones is refused by
+        # the length check, not by numpy's array of mixed rows
+        archive, population = reuse_fixture(3)
+        with pytest.raises(DimensionMismatchError):
+            archive.strength_fitness(population + [sol(99, (1.0, 1.0))])
+
     def test_bi_objective_fitness_builds_no_array(self):
         archive, population = reuse_fixture(2)
         # any attribute read of the module's numpy, or a masks call, raises

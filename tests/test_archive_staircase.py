@@ -5,7 +5,10 @@ must agree after every insertion on the outcome, the order of the
 departures, the member order and the counters. The streams are the ones a
 staircase can get wrong: points sharing f1 or f2, duplicates and candidates
 equal to a member, -0.0 beside 0.0, and points so close that their distances
-round to 0 and tie far beyond neighbouring stairs."""
+round to 0 and tie far beyond neighbouring stairs, gaps a few ulps apart, and
+insertions that remove a run of stairs. Once rn has overflowed, the
+neighbour gaps its store keeps must also equal, bit for bit, the gaps
+measured afresh from the staircase."""
 
 import math
 
@@ -65,6 +68,21 @@ def streams(draw, points):
     return list(zip(ids, stream))
 
 
+def at_ulps(points, base):
+    # integer multiples of the spacing of floats at base, added to base: the
+    # gaps are sums of squares of a few ulps, so many of them tie
+    ulp = math.ulp(base)
+    return points.map(lambda p: (base + p[0] * ulp, base + p[1] * ulp))
+
+
+def fronts(levels):
+    # integer points on f1 + f2 = level for a few levels: a point of a lower
+    # level dominates a run of the members of a higher one
+    return st.sampled_from(levels).flatmap(
+        lambda level: st.integers(0, level).map(lambda x: (x, level - x))
+    )
+
+
 STREAMS = {
     "lattice": streams(scaled(near_diagonal(8), 1.0)),
     "signed_zero": streams(
@@ -75,6 +93,12 @@ STREAMS = {
     "close": st.sampled_from((5e-324, 1e-160, 1e-154)).flatmap(
         lambda scale: streams(scaled(near_diagonal(12), scale))
     ),
+    # gaps that tie to the last bit, at two magnitudes
+    "ulp_spaced": st.sampled_from((1.0, 2.0**40)).flatmap(
+        lambda base: streams(at_ulps(near_diagonal(8), base))
+    ),
+    # insertions that remove a run of neighbouring stairs at once
+    "dominated_run": streams(fronts((4, 8, 12))),
 }
 
 
@@ -98,7 +122,7 @@ def check_against_oracle(kind, capacity, stream):
         if kind == "grid":
             assert archive.spec == oracle.spec
             assert archive.cell_occupancy() == oracle.cell_occupancy()
-    check_store_follows_members(archive)
+        check_store_follows_members(archive)
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
@@ -108,6 +132,24 @@ def check_against_oracle(kind, capacity, stream):
 def test_staircase_store_matches_the_scalar_oracles(kind, stream, data):
     capacity = data.draw(st.integers(1, 12), label="capacity")
     check_against_oracle(kind, capacity, data.draw(STREAMS[stream], label="stream"))
+
+
+def test_gaps_are_kept_from_the_first_overflow_on():
+    archive = RnArchive(3)
+    for i, values in enumerate([(0.0, 4.0), (4.0, 0.0), (1.0, 3.0)]):
+        archive.try_insert(sol(i, values), Counters())
+    # a store that has never truncated measures no gap
+    assert archive._gaps is None
+    archive.try_insert(sol(3, (3.0, 1.0)), Counters())
+    # (0, 4)-(1, 3) and (3, 1)-(4, 0) tie; the pair of ids (0, 2) goes first
+    assert [m.id for m in archive.members()] == [0, 1, 3]
+    assert archive._gaps is not None
+    check_store_follows_members(archive)
+    # (2, 1) dominates (3, 1), whose gaps merge, then splits the merged gap
+    archive.try_insert(sol(4, (2.0, 1.0)), Counters())
+    assert [m.id for m in archive.members()] == [0, 1, 4]
+    check_store_follows_members(archive)
+    assert len(archive._gaps) == 2
 
 
 def test_zero_distances_tie_beyond_neighbouring_stairs():
