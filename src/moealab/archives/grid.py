@@ -9,6 +9,7 @@ proportional to the member count rather than the cell count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import attrgetter, le
 
@@ -78,8 +79,8 @@ class GridArchive(NondominatedStore):
     def __init__(self, capacity: int, spec: GridSpec, inflation: float = 0.1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if inflation < 0:
-            raise ValueError(f"inflation must be >= 0, got {inflation}")
+        if not 0 <= inflation <= sys.float_info.max:
+            raise ValueError(f"inflation must be finite and >= 0, got {inflation}")
         super().__init__()
         self.capacity = capacity
         self.spec = spec

@@ -141,16 +141,19 @@ def first_dominated(
     Charges what calling dominates() on each member in order, up to the first
     hit, would: index + 1 comparisons on a hit, len(solutions) otherwise. For
     finite values, a <= b componentwise with a != b is compare()'s DOMINATES.
+    Every vector has at least two objectives, so the first two rule a member
+    out as plain scalars before the full test runs.
     """
     av = a.values
     m = len(av)
+    a0, a1 = av[0], av[1]
     for i, s in enumerate(solutions):
         bv = s.objectives.values
         if len(bv) != m:
             if counters is not None:
                 counters.dominance_comparisons += i
             raise DimensionMismatchError(f"dimension mismatch: {m} vs {len(bv)}")
-        if all(map(le, av, bv)) and av != bv:
+        if a0 <= bv[0] and a1 <= bv[1] and all(map(le, av, bv)) and av != bv:
             if counters is not None:
                 counters.dominance_comparisons += i + 1
             return i

@@ -92,8 +92,10 @@ class ArchiveConfig:
                 raise ConfigError(
                     f"{name} must be at most the largest float, {sys.float_info.max!r}"
                 )
-        if self.inflation < 0:
-            raise ConfigError(f"inflation must be >= 0, got {self.inflation}")
+        if not 0 <= self.inflation <= sys.float_info.max:
+            raise ConfigError(
+                f"inflation must be finite and >= 0, got {self.inflation}"
+            )
         if self.kind == "grid":
             lower, upper = self._grid_bounds(problem.m)
             if len(lower) != problem.m or len(upper) != problem.m:

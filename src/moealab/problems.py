@@ -14,6 +14,7 @@ All problems minimize both objectives:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -151,7 +152,7 @@ def _zdt(problem_id: str, shape: Callable[[float, float], float],
 def _zdt1() -> ProblemSpec:
     return _zdt(
         "zdt1",
-        lambda f1, g: g * (1.0 - np.sqrt(f1 / g)),
+        lambda f1, g: g * (1.0 - math.sqrt(f1 / g)),
         lambda f1: 1.0 - np.sqrt(f1),
     )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,6 +48,18 @@ class TestGridSpec:
     def test_divisions_must_be_positive(self):
         with pytest.raises(ValueError):
             GridSpec(ObjectiveVector((0.0, 0.0)), ObjectiveVector((1.0, 1.0)), 0)
+
+
+class TestGridArchiveInit:
+    @pytest.mark.parametrize("inflation", [math.nan, math.inf, -math.inf, -0.5])
+    def test_inflation_must_be_finite_and_non_negative(self, inflation):
+        with pytest.raises(ValueError) as excinfo:
+            GridArchive(10, unit_spec(), inflation)
+        assert str(excinfo.value) == f"inflation must be finite and >= 0, got {inflation}"
+
+    @pytest.mark.parametrize("inflation", [0.0, 5e-324, 1e300])
+    def test_finite_non_negative_inflation_is_kept(self, inflation):
+        assert GridArchive(10, unit_spec(), inflation).inflation == inflation
 
 
 class TestCellOf:

@@ -255,15 +255,21 @@ def scan_with_dominates(a, solutions, counters):
     return None
 
 
+# lattice values with both signed zeros, which compare equal: rows tie often
+# and repeat, and a -0.0 against a 0.0 is a tie, not a strict improvement
+SIGNED_LATTICE = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+
+
 class TestFirstDominated:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 5])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_dominates_loop(self, m, data):
-        # lattice rows tie often and repeat; the point may dominate none of them
-        rows = data.draw(lattice_rows(m, max_rows=12))
-        point = vec(*(float(x) for x in data.draw(st.tuples(*[st.integers(0, 3)] * m))))
-        solutions = [sol(i, tuple(map(float, row))) for i, row in enumerate(rows)]
+        # the point may dominate none of the rows
+        row = st.tuples(*[SIGNED_LATTICE] * m)
+        rows = data.draw(st.lists(row, max_size=12))
+        point = vec(*data.draw(row))
+        solutions = [sol(i, r) for i, r in enumerate(rows)]
         start = data.draw(st.integers(0, 5))
         counters, oracle_counters = Counters(start), Counters(start)
         index = first_dominated(point, solutions, counters)
@@ -284,6 +290,21 @@ class TestFirstDominated:
         counters = Counters()
         assert first_dominated(vec(1.0, 1.0), solutions, counters) == 1
         assert counters.dominance_comparisons == 2
+
+    def test_three_objectives_tie_break_on_the_third(self):
+        # every member passes on f1 and f2; only the third objective decides
+        point = vec(1.0, 1.0, 1.0)
+        beaten_only_on_two = [sol(0, (1.0, 2.0, 0.0)), sol(1, (2.0, 1.0, 0.5))]
+        counters = Counters()
+        assert first_dominated(point, beaten_only_on_two, counters) is None
+        assert counters.dominance_comparisons == 2
+        hit = beaten_only_on_two + [sol(2, (1.0, 1.0, 2.0)), sol(3, (2.0, 2.0, 2.0))]
+        assert first_dominated(point, hit, counters) == 2
+        assert counters.dominance_comparisons == 5
+        mismatch = beaten_only_on_two + [sol(2, (2.0, 2.0))]
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch: 3 vs 2"):
+            first_dominated(point, mismatch, counters)
+        assert counters.dominance_comparisons == 7
 
     def test_mismatched_dimension_raises_after_charging_the_members_before_it(self):
         solutions = [sol(0, (0.0, 0.0)), sol(1, (0.0, 0.0, 0.0)), sol(2, (2.0, 2.0))]

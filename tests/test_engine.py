@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ class TestConfigValidation:
         message = "gps archiver needs an objective floor, which sch does not define"
         with pytest.raises(ConfigError, match=message):
             ArchiveConfig("gps").validate(problem)
+
+    @pytest.mark.parametrize("inflation", [math.nan, math.inf, -math.inf, -0.5])
+    def test_inflation_must_be_finite_and_non_negative(self, inflation):
+        # a non-finite inflation would pad the bounds to inf or nan at the
+        # first out-of-grid candidate, so it is refused before the run starts
+        config = small_config(archive=ArchiveConfig("grid", inflation=inflation))
+        message = f"inflation must be finite and >= 0, got {inflation}"
+        with pytest.raises(ConfigError) as excinfo:
+            config.validate()
+        assert str(excinfo.value) == message
+        with pytest.raises(ConfigError, match="inflation must be finite"):
+            run(config)
 
     def test_lattice_up_to_the_enumeration_guard(self):
         # 100 x 100 is exactly the 10,000-point limit

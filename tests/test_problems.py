@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moealab import (
     ProblemSpec,
@@ -11,6 +13,13 @@ from moealab import (
     true_front_sample,
 )
 from oracles import oracle_front_values, sol
+
+# zdt genes on [0, 1], with both zeros, subnormals and the upper bound drawn
+# often
+ZDT_GENE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]),
+    st.floats(0.0, 1.0),
+)
 
 
 class TestRegistry:
@@ -66,6 +75,24 @@ class TestEvaluate:
         problem = get_problem("zdt1")
         v = evaluate(problem, (0.0,) * 30)
         assert v.values == (0.0, 1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(genome=st.lists(ZDT_GENE, min_size=30, max_size=30))
+    @example(genome=[1.0] * 30)
+    @example(genome=[-0.0] * 30)
+    @example(genome=[5e-324] + [0.0] * 29)
+    @example(genome=[0.5] + [2.2250738585072014e-308] * 29)
+    def test_zdt1_matches_the_numpy_scalar_formula(self, genome):
+        # numpy's scalar root is an independent correctly rounded sqrt, so
+        # the evaluator must give the very same float
+        f1 = genome[0]
+        g = 1.0 + 9.0 * sum(genome[1:]) / 29
+        expected = (f1, g * (1.0 - np.sqrt(f1 / g)))
+        problem = get_problem("zdt1")
+        raw = problem.evaluator(tuple(genome))
+        assert [type(v) for v in raw] == [float, float]
+        values = evaluate(problem, genome).values
+        assert [v.hex() for v in values] == [float(v).hex() for v in expected]
 
     def test_zdt2_first_gene_one(self):
         problem = get_problem("zdt2")
