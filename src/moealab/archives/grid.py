@@ -151,8 +151,10 @@ class GridArchive(NondominatedStore):
             span = hi - lo
             # zero span would violate lower < upper; pad with a tiny margin
             pad = self.inflation * span if span > 0 else 1e-6 * max(1.0, abs(lo))
-            lower.append(lo - pad)
-            upper.append(hi + pad)
+            # the padding may overflow; a bound at the largest float still
+            # holds every finite value
+            lower.append(max(-sys.float_info.max, lo - pad))
+            upper.append(min(sys.float_info.max, hi + pad))
         self.spec = GridSpec(
             ObjectiveVector(lower), ObjectiveVector(upper), self.spec.divisions
         )

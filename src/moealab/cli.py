@@ -362,7 +362,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _output_dir(args.out)
-    report = complexity_sweep(args.archiver, sizes, args.seed)
+    try:
+        report = complexity_sweep(args.archiver, sizes, args.seed)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"--sizes {_shorten(args.sizes)} needs a stream larger than numpy could allocate"
+        ) from exc
     (out / f"sweep_{args.archiver}.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )

@@ -33,14 +33,7 @@ from .core import (
     nondominated_filter,
     weak_relations,
 )
-from .generator import (
-    LocalSearchConfig,
-    RandomStream,
-    VariationConfig,
-    generate,
-    local_search,
-    select_parents,
-)
+from .generator import RandomStream, VariationConfig, generate, select_parents
 from .metrics import generational_distance, spacing
 from .problems import (
     ProblemSpec,
@@ -115,6 +108,18 @@ class ArchiveConfig:
         lower = self.grid_lower if self.grid_lower is not None else (0.0,) * m
         upper = self.grid_upper if self.grid_upper is not None else (1.0,) * m
         return lower, upper
+
+
+@dataclass(frozen=True)
+class LocalSearchConfig:
+    steps: int = 0  # 0 runs no local search
+    step_scale: float = 0.05
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.step_scale <= 0:
+            raise ValueError(f"step_scale must be > 0, got {self.step_scale}")
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,34 @@ def _evaluate(state: RunState, genome: tuple[float, ...]) -> ObjectiveVector:
     return evaluate(state.problem, genome)
 
 
+def local_search(state: RunState, child: Solution, config: RunConfig) -> Solution:
+    """Up to config.local_search.steps single-coordinate perturbations of the
+    child, each of magnitude at most step_scale times the variable's range; a
+    move is kept only when its objectives dominate the current ones.
+
+    The returned solution is therefore never dominated by the child. Every
+    trial is one evaluation of the run's budget, and none is made once
+    config.max_evaluations is spent.
+    """
+    rng, bounds, counters = state.rng, state.problem.bounds, state.counters
+    step_scale = config.local_search.step_scale
+    current = child
+    n = len(child.genome)
+    for _ in range(config.local_search.steps):
+        if counters.evaluations >= config.max_evaluations:
+            break
+        k = rng.integers(n)
+        lo, hi = bounds[k]
+        genes = list(current.genome)
+        delta = (2.0 * rng.random() - 1.0) * step_scale * (hi - lo)
+        genes[k] = min(hi, max(lo, genes[k] + delta))
+        genome = tuple(genes)
+        objectives = _evaluate(state, genome)
+        if dominates(objectives, current.objectives, counters):
+            current = Solution(next(state.ids), genome, objectives)
+    return current
+
+
 def _offer(state: RunState, candidate: Solution) -> bool:
     """Offer a candidate to the archive; returns whether it was accepted."""
     outcome, _ = state.archive.try_insert(candidate, state.counters)
@@ -428,15 +461,7 @@ def step(state: RunState, config: RunConfig) -> GenerationStats:
         )
         child.objectives = _evaluate(state, child.genome)
         if config.local_search.steps:
-            child = local_search(
-                child,
-                state.problem,
-                config.local_search,
-                state.rng,
-                state.ids,
-                state.counters,
-                max_evaluations=config.max_evaluations,
-            )
+            child = local_search(state, child, config)
         accepted = _offer(state, child)
         accepted_count += accepted
         index = update_population(state, child, accepted)

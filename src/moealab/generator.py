@@ -1,5 +1,5 @@
-"""Candidate production: parent selection over population and archive,
-real-coded variation, and an optional dominance-driven local search."""
+"""Candidate production: parent selection over population and archive, and
+real-coded variation, from one random stream."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Counters, DominanceRelation, Solution, compare
-from .problems import ProblemSpec, evaluate
+from .core import Solution
 
 
 @dataclass(frozen=True)
@@ -36,18 +35,6 @@ class VariationConfig:
             raise ValueError(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
         if self.crossover_spread <= 0 or self.mutation_spread <= 0:
             raise ValueError("distribution indices must be positive")
-
-
-@dataclass(frozen=True)
-class LocalSearchConfig:
-    steps: int = 0  # 0 runs no local search
-    step_scale: float = 0.05
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.step_scale <= 0:
-            raise ValueError(f"step_scale must be > 0, got {self.step_scale}")
 
 
 # raw 64-bit words a stream takes from its bit generator at a time
@@ -252,37 +239,3 @@ def _polynomial_mutation(x: float, lo: float, hi: float, eta: float, u: float) -
         val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0)
         delta_q = 1.0 - val ** (1.0 / (eta + 1.0))
     return x + delta_q * span
-
-
-def local_search(
-    seed_solution: Solution,
-    problem: ProblemSpec,
-    config: LocalSearchConfig,
-    rng: RandomStream,
-    ids: Iterator[int],
-    counters: Counters,
-    max_evaluations: int | None = None,
-) -> Solution:
-    """Up to `steps` single-coordinate perturbations of magnitude at most
-    step_scale times the variable range; a move is kept only when its
-    objectives strictly dominate the current ones.
-
-    The returned solution is therefore never dominated by the seed. Every
-    trial costs one evaluation, capped by max_evaluations when given.
-    """
-    current = seed_solution
-    n = len(seed_solution.genome)
-    for _ in range(config.steps):
-        if max_evaluations is not None and counters.evaluations >= max_evaluations:
-            break
-        k = rng.integers(n)
-        lo, hi = problem.bounds[k]
-        genes = list(current.genome)
-        step = (2.0 * rng.random() - 1.0) * config.step_scale * (hi - lo)
-        genes[k] = min(hi, max(lo, genes[k] + step))
-        genome = tuple(genes)
-        counters.evaluations += 1
-        objs = evaluate(problem, genome)
-        if compare(objs, current.objectives, counters) is DominanceRelation.DOMINATES:
-            current = Solution(next(ids), genome, objs)
-    return current

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +209,16 @@ class TestAdaptBounds:
         assert archive.spec is spec_before
         assert counters.cell_lookups == lookups
         assert occupancy_sorted(archive) == {(2, 2): (0,)}
+
+    def test_overflowing_padding_leaves_finite_bounds(self):
+        archive = GridArchive(10, unit_spec(), inflation=sys.float_info.max)
+        counters = Counters()
+        archive.try_insert(sol(0, (0.5, 0.5)), counters)
+        # each axis spans 2.5, so inflation * span is inf
+        spec = archive.adapt_bounds(ObjectiveVector((3.0, -2.0)), counters)
+        assert spec.lower.values == (-sys.float_info.max, -sys.float_info.max)
+        assert spec.upper.values == (sys.float_info.max, sys.float_info.max)
+        assert occupancy_sorted(archive) == occupancy_rebuilt_from_scratch(archive)
 
     def test_degenerate_envelope_still_produces_valid_bounds(self):
         archive = GridArchive(10, unit_spec())

@@ -61,6 +61,13 @@ class TestCmdRun:
             record = json.loads(line)
             assert {"generation", "evaluations_done", "archive_size"} <= set(record)
 
+    def test_grid_inflation_whose_padding_overflows_runs(self, tmp_path):
+        # inflation times the objectives' span passes the largest float
+        config = sch_config(tmp_path, archive={"kind": "grid", "inflation": 1.7e308})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
+
     def test_repeats_use_derived_seeds(self, tmp_path):
         config = sch_config(tmp_path, repeats=3)
         out = tmp_path / "out"
@@ -690,6 +697,24 @@ class TestCmdSweep:
         code = main(["sweep", "--archiver", "gps", "--sizes", "8,16,32", "--out", str(out)])
         assert code == 0
         assert self.strict_report(out / "sweep_gps.json")["slope_ci"] == [None, None]
+
+    def test_a_refused_allocation_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def refuse(kind, sizes, seed):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "complexity_sweep", refuse)
+        out = tmp_path / "o"
+        sizes = "5,1000000000000"
+        code = main(["sweep", "--archiver", "gps", "--sizes", sizes, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"configuration error: --sizes '{sizes}' needs a stream larger than "
+            "numpy could allocate\n"
+        )
+        assert captured.out == ""
+        # the sizes pass every check made before the directory is
+        assert list(out.iterdir()) == []
 
     def test_single_size_exits_2(self, tmp_path):
         assert main(

@@ -435,6 +435,29 @@ class TestRun:
             result = run(config)
             assert result.summary["evaluations"] <= budget
 
+    def test_every_evaluation_goes_through_engine_evaluate(self, monkeypatch):
+        # the name a profiler wraps to count a run's evaluations
+        calls = 0
+        evaluate = engine.evaluate
+
+        def counted(problem, genome):
+            nonlocal calls
+            calls += 1
+            return evaluate(problem, genome)
+
+        monkeypatch.setattr(engine, "evaluate", counted)
+        result = run(
+            RunConfig(
+                problem="sch",
+                archive=ArchiveConfig("grid"),
+                population_size=10,
+                max_evaluations=300,
+                seed=0,
+                local_search=LocalSearchConfig(steps=3),
+            )
+        )
+        assert calls == result.summary["evaluations"] == 300
+
     def test_metrics_snapshots_at_checkpoints(self):
         config = small_config(max_evaluations=100, metrics_every=25)
         result = run(config)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from moealab import (
     ArchiveConfig,
-    Counters,
     DominanceRelation,
     LocalSearchConfig,
     ObjectiveVector,
@@ -17,7 +16,7 @@ from moealab import (
     VariationConfig,
     compare,
     generate,
-    get_problem,
+    initialize,
     local_search,
     run,
     select_parents,
@@ -276,54 +275,68 @@ class TestGenerateStreamParity:
             )
         )
 
+    @pytest.mark.xfail(strict=True, raises=OverflowError)
+    def test_mutation_of_a_far_out_of_bounds_child_overflows(self):
+        # the same root cause: below the lower bound xy = 1 - delta_l > 1, and
+        # a huge mutation spread raises it to a power past the largest float
+        run(
+            RunConfig(
+                problem="zdt1",
+                archive=ArchiveConfig("grid", capacity=100),
+                population_size=40,
+                max_evaluations=3000,
+                variation=VariationConfig(mutation_spread=1e300),
+                seed=0,
+            )
+        )
+
+
+def local_search_run(seed, steps, step_scale, max_evaluations=10_000):
+    """A fresh sch run of two members for local search to work in, and its
+    config."""
+    config = RunConfig(
+        problem="sch",
+        population_size=2,
+        max_evaluations=max_evaluations,
+        local_search=LocalSearchConfig(steps=steps, step_scale=step_scale),
+        seed=seed,
+    )
+    return initialize(config), config
+
 
 class TestLocalSearch:
     def test_disabled_or_zero_steps_returns_seed(self):
-        problem = get_problem("sch")
-        seed_solution = Solution(0, (1.0,), evaluate(problem, (1.0,)))
-        counters = Counters()
-        out = local_search(
-            seed_solution, problem, LocalSearchConfig(steps=0),
-            np.random.default_rng(0), itertools.count(1), counters,
-        )
+        state, config = local_search_run(0, steps=0, step_scale=0.05)
+        seed_solution = Solution(100, (1.0,), evaluate(state.problem, (1.0,)))
+        before = state.counters.evaluations
+        out = local_search(state, seed_solution, config)
         assert out is seed_solution
-        assert counters.evaluations == 0
+        assert state.counters.evaluations == before
 
     def test_output_never_dominated_by_seed_and_sometimes_improves(self):
-        problem = get_problem("sch")
-        config = LocalSearchConfig(steps=10, step_scale=0.1)
         improved = 0
         for trial in range(100):
-            rng = np.random.default_rng(trial)
-            start = Solution(0, (-3.0,), evaluate(problem, (-3.0,)))
-            counters = Counters()
-            out = local_search(start, problem, config, rng, itertools.count(1), counters)
+            state, config = local_search_run(trial, steps=10, step_scale=0.1)
+            start = Solution(100, (-3.0,), evaluate(state.problem, (-3.0,)))
+            before = state.counters.evaluations
+            out = local_search(state, start, config)
             rel = compare(out.objectives, start.objectives)
             assert rel in (DominanceRelation.DOMINATES, DominanceRelation.EQUAL)
             if rel is DominanceRelation.DOMINATES:
                 improved += 1
-            assert counters.evaluations <= config.steps
+            assert state.counters.evaluations - before <= config.local_search.steps
         assert improved > 0
 
     def test_on_front_seed_is_never_made_worse(self):
-        problem = get_problem("sch")
-        config = LocalSearchConfig(steps=20, step_scale=0.05)
-        start = Solution(0, (1.0,), evaluate(problem, (1.0,)))  # on the front
         for trial in range(50):
-            out = local_search(
-                start, problem, config, np.random.default_rng(trial),
-                itertools.count(1), Counters(),
-            )
+            state, config = local_search_run(trial, steps=20, step_scale=0.05)
+            start = Solution(100, (1.0,), evaluate(state.problem, (1.0,)))  # on the front
+            out = local_search(state, start, config)
             assert compare(out.objectives, start.objectives) is not DominanceRelation.DOMINATED_BY
 
     def test_budget_cap_limits_evaluations(self):
-        problem = get_problem("sch")
-        config = LocalSearchConfig(steps=50, step_scale=0.1)
-        counters = Counters()
-        counters.evaluations = 97
-        start = Solution(0, (-3.0,), evaluate(problem, (-3.0,)))
-        local_search(
-            start, problem, config, np.random.default_rng(0), itertools.count(1),
-            counters, max_evaluations=100,
-        )
-        assert counters.evaluations == 100
+        state, config = local_search_run(0, steps=50, step_scale=0.1, max_evaluations=100)
+        state.counters.evaluations = 97
+        start = Solution(100, (-3.0,), evaluate(state.problem, (-3.0,)))
+        local_search(state, start, config)
+        assert state.counters.evaluations == 100
