@@ -15,9 +15,9 @@ import numpy as np
 
 from ..core import (
     Counters,
-    DimensionMismatchError,
     Solution,
     nondominated_filter,
+    staircase_run,
     weak_relations,
 )
 
@@ -103,13 +103,13 @@ class NondominatedStore(Archive):
     through those two. The first member fixes the number of objectives M,
     which selects how the store answers the dominance sweep:
 
-    - M = 2: the members' objective tuples also form a staircase, sorted by
-      increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
-      Each stair is paired with its member, and a member's position is its
-      index in `_members`, found by identity (Solution compares by identity).
-      The gaps between neighbouring stairs are measured on the first call of
-      _neighbour_gaps, and from then on _append and _remove keep them: an
-      insertion splits one gap in two, and a removal merges two into one.
+    - M = 2: the members' objective tuples also form a staircase, which
+      answers the sweep through core.staircase_run. Each stair is paired
+      with its member, and a member's position is its index in `_members`,
+      found by identity (Solution compares by identity). The gaps between
+      neighbouring stairs are measured on the first call of _neighbour_gaps,
+      and from then on _append and _remove keep them: an insertion splits
+      one gap in two, and a removal merges two into one.
     - other M: `_rows`, an (n, M) array whose row i is member i's
       objectives. M = 2 keeps no such array.
 
@@ -161,26 +161,13 @@ class NondominatedStore(Archive):
             # no member weakly dominates the candidate, so every member it
             # weakly dominates it dominates
             return np.flatnonzero(beaten).tolist()
-        if len(v) != 2:
-            raise DimensionMismatchError(f"dimension mismatch: 2 vs {len(v)}")
-        stairs = self._stairs
-        y = v[1]
-        # stairs before i have f1 <= v[0], and the last of them the least f2
-        i = bisect_right(stairs, v)
-        if i and stairs[i - 1][1] <= y:
-            # the members that weakly dominate v are the run ending at i - 1
-            # while f2 <= y; the scan stops at the earliest in member order
-            start = i - 1
-            while start and stairs[start - 1][1] <= y:
-                start -= 1
+        start, i, end = staircase_run(self._stairs, v)
+        if start < i:
+            # the scan stops at the earliest weakly dominating member
             first = min(map(self._members.index, self._stair_members[start:i]))
             counters.dominance_comparisons += first + 1
             return None
         counters.dominance_comparisons += n
-        # stairs from i on have f1 >= v[0]; v dominates the run while f2 >= y
-        end = i
-        while end < len(stairs) and stairs[end][1] >= y:
-            end += 1
         return sorted(map(self._members.index, self._stair_members[i:end]))
 
     def _neighbour_gaps(self) -> list[float]:

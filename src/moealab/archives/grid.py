@@ -9,6 +9,7 @@ proportional to the member count rather than the cell count.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from operator import attrgetter, le
@@ -68,7 +69,12 @@ def cell_of(
     d = spec.divisions
     coords = []
     for x, lo, hi in zip(v.values, spec.lower.values, spec.upper.values):
-        c = int((x - lo) / (hi - lo) * d)
+        span = hi - lo
+        if span < math.inf:
+            c = int((x - lo) / span * d)
+        else:
+            # the span passes the largest float, its halves do not
+            c = int((x / 2 - lo / 2) / (hi / 2 - lo / 2) * d)
         coords.append(c if c < d else d - 1)
     return tuple(coords)
 

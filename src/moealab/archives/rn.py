@@ -10,7 +10,6 @@ later-retained one (see the deterioration tests).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from operator import attrgetter
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from ..core import (
     Solution,
     dominance_masks,
     pairwise_distances,
+    staircase_run,
 )
 from .base import FeedbackSignal, InsertOutcome, NondominatedStore, _distance
 
@@ -179,13 +179,12 @@ class RnArchive(NondominatedStore):
     def _staircase_fitness(self, population: list[Solution]) -> list[float]:
         """strength_fitness at M = 2, from the staircase.
 
-        The stairs that weakly dominate a point v form one run: those with
-        f1 <= v[0] are a prefix, and f2 falls along it, so those with
-        f2 <= v[1] are the prefix's tail. A stair equal to v ends the run and
-        does not dominate v strictly. A population member that is an archive
-        member is weakly dominated by its own stair alone. A stair's count of
-        the population members it weakly dominates is the number of runs
-        covering it, summed from a difference array.
+        The stairs that weakly dominate a point v form one run, given by
+        core.staircase_run. A stair equal to v ends the run and does not
+        dominate v strictly. A population member that is an archive member is
+        weakly dominated by its own stair alone. A stair's count of the
+        population members it weakly dominates is the number of runs covering
+        it, summed from a difference array.
         """
         stairs = self._stairs
         owners = self._stair_members
@@ -194,9 +193,9 @@ class RnArchive(NondominatedStore):
         # per population member, the run of stairs that strictly dominate it
         runs = []
         for p in population:
-            # the bisect path gives such a member the same run; on ea-rn-zdt1
+            # staircase_run gives such a member the same run; on ea-rn-zdt1
             # more than half the population slots are archive members, and
-            # skipping their bisects is measurably faster (BENCH_26.json)
+            # skipping their walks is measurably faster (BENCH_26.json)
             k = stair_of.get(p)
             if k is not None:
                 ends[k] += 1
@@ -204,13 +203,7 @@ class RnArchive(NondominatedStore):
                 runs.append((k, k))
                 continue
             v = p.objectives.values
-            if len(v) != 2:
-                raise DimensionMismatchError(f"dimension mismatch: 2 vs {len(v)}")
-            y = v[1]
-            i = bisect_right(stairs, v)
-            start = i
-            while start and stairs[start - 1][1] <= y:
-                start -= 1
+            start, i, _ = staircase_run(stairs, v)
             ends[start] += 1
             ends[i] -= 1
             runs.append((start, i - 1 if i and stairs[i - 1] == v else i))

@@ -178,7 +178,7 @@ def _write_front_csv(path: Path, result: RunResult) -> None:
     problem = get_problem(result.config.problem)
     header = (
         "id,"
-        + ",".join(f"x{i}" for i in range(problem.n_var))
+        + ",".join(f"x{i}" for i in range(len(problem.bounds)))
         + ","
         + ",".join(f"f{j + 1}" for j in range(problem.m))
     )
@@ -195,9 +195,9 @@ def _write_front_csv(path: Path, result: RunResult) -> None:
 
 
 def _write_stats_jsonl(path: Path, result: RunResult) -> None:
-    lines = [
-        json.dumps(asdict(st), sort_keys=True, allow_nan=False) for st in result.stats
-    ]
+    # a record holds scalars and one flat dict, so vars() writes what asdict
+    # would without copying it first
+    lines = [json.dumps(vars(st), sort_keys=True, allow_nan=False) for st in result.stats]
     path.write_text("\n".join(lines) + "\n")
 
 

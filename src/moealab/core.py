@@ -8,6 +8,7 @@ at the problem layer, so comparison logic never branches on direction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import le
@@ -229,6 +230,34 @@ def weak_relations(
         below &= column <= x
         above &= column >= x
     return below, above
+
+
+def staircase_run(
+    stairs: Sequence[tuple[float, ...]], v: tuple[float, ...]
+) -> tuple[int, int, int]:
+    """Where the bi-objective point `v` meets `stairs`, a staircase: pairs in
+    increasing f1, so f2 strictly decreases (Kung, Luccio & Preparata 1975).
+
+    Returns (start, i, end): stairs[start:i] are the stairs that weakly
+    dominate v, and stairs[i:end] those v dominates. A stair equal to v is
+    stairs[i - 1], in the first run. At most one run is nonempty, so the
+    second is walked only when the first is empty. The M != 2 counterpart is
+    weak_relations.
+    """
+    if len(v) != 2:
+        raise DimensionMismatchError(f"dimension mismatch: 2 vs {len(v)}")
+    y = v[1]
+    # stairs before i have f1 <= v[0], and f2 falls along them
+    i = start = bisect_right(stairs, v)
+    while start and stairs[start - 1][1] <= y:
+        start -= 1
+    if start < i:
+        return start, i, i
+    # stairs from i on have f1 >= v[0], and f2 falls along them
+    end = i
+    while end < len(stairs) and stairs[end][1] >= y:
+        end += 1
+    return i, i, end
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

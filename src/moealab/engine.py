@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -28,9 +27,11 @@ from .core import (
     ObjectiveVector,
     Solution,
     deterioration_check,  # not called here; the benchmark's trace list names it
+    dominance_masks,
     dominates,
     first_dominated,
     nondominated_filter,
+    staircase_run,
     weak_relations,
 )
 from .generator import RandomStream, VariationConfig, generate, select_parents
@@ -202,10 +203,8 @@ class DeteriorationTracker:
     dominates too. So the history grows with the front of the evicted points,
     not with the number of evaluations.
 
-    For M = 2 that subset is a staircase (Kung, Luccio & Preparata 1975): a
-    list of tuples in increasing f1, so f2 strictly decreases, and both tests
-    and updates are a bisect. Rows with equal f1 weakly dominate each other,
-    so no two are kept. For other M the rows are an array tested with
+    For M = 2 that subset is a staircase, and both tests and updates go
+    through core.staircase_run. For other M the rows are an array tested with
     weak_relations.
     """
 
@@ -226,17 +225,9 @@ class DeteriorationTracker:
         if self._staircase:
             history = self._history
             for values in rows:
-                # the predecessor by f1 has the least f2 of the rows with
-                # f1 <= values[0], so it alone can weakly dominate the row
-                i = bisect_right(history, values)
-                if i and history[i - 1][1] <= values[1]:
-                    continue
-                # no kept row equals this one, so the rows from i on are those
-                # with f1 >= values[0]; it dominates them while f2 >= values[1]
-                end = i
-                while end < len(history) and history[end][1] >= values[1]:
-                    end += 1
-                history[i:end] = [values]
+                start, i, end = staircase_run(history, values)
+                if start == i:
+                    history[i:end] = [values]
             return
         for values in rows:
             covered, beaten = weak_relations(self._history, values)
@@ -251,11 +242,9 @@ class DeteriorationTracker:
         """Whether some kept row strictly dominates `values`."""
         history = self._history
         if self._staircase:
-            i = bisect_right(history, values)
-            if not i:
-                return False
-            row = history[i - 1]
-            return row[1] <= values[1] and row != values
+            start, i, _ = staircase_run(history, values)
+            # a kept row equal to values is the last of the run
+            return start < i and history[i - 1] != values
         below, above = weak_relations(history, values)
         return bool((below & ~above).any())
 
@@ -276,17 +265,14 @@ class DeteriorationTracker:
             if not archive.departures_dominate_no_member:
                 members = archive.members()
                 if members:
-                    objectives = np.array(
-                        [m.objectives.values for m in members], dtype=float
+                    _, strict = dominance_masks(
+                        rows, [m.objectives.values for m in members]
                     )
-                    beaten = np.zeros(len(members), dtype=bool)
-                    for values in rows:
-                        below, above = weak_relations(objectives, values)
-                        beaten |= above & ~below
-                    if beaten.any():
-                        self._deteriorated.update(
-                            m.id for m, hit in zip(members, beaten.tolist()) if hit
-                        )
+                    self._deteriorated.update(
+                        m.id
+                        for m, hit in zip(members, strict.any(axis=0).tolist())
+                        if hit
+                    )
             self._remember(rows)
         if accepted and len(self._history) and self._dominated(candidate.objectives.values):
             self._deteriorated.add(candidate.id)

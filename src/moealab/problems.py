@@ -43,7 +43,6 @@ class ProblemSpec:
     """
 
     id: str
-    n_var: int
     bounds: tuple[tuple[float, float], ...]
     m: int
     evaluator: Callable[[tuple[float, ...]], tuple[float, ...]]
@@ -54,9 +53,10 @@ class ProblemSpec:
 
 def evaluate(problem: ProblemSpec, genome: Sequence[float]) -> ObjectiveVector:
     """Evaluate a genome; out-of-bounds genomes violate the contract."""
-    if len(genome) != problem.n_var:
+    if len(genome) != len(problem.bounds):
         raise ValueError(
-            f"{problem.id}: genome has {len(genome)} variables, expected {problem.n_var}"
+            f"{problem.id}: genome has {len(genome)} variables, "
+            f"expected {len(problem.bounds)}"
         )
     for x, (lo, hi) in zip(genome, problem.bounds):
         if not lo <= x <= hi:
@@ -116,7 +116,6 @@ def _sch() -> ProblemSpec:
 
     return ProblemSpec(
         id="sch",
-        n_var=1,
         bounds=((-3.0, 5.0),),
         m=2,
         evaluator=evaluator,
@@ -140,7 +139,6 @@ def _zdt(problem_id: str, shape: Callable[[float, float], float],
 
     return ProblemSpec(
         id=problem_id,
-        n_var=n,
         bounds=tuple(((0.0, 1.0),) * n),
         m=2,
         evaluator=evaluator,
@@ -192,7 +190,6 @@ def _lattice(k: int, seed: int) -> ProblemSpec:
     )
     return ProblemSpec(
         id=f"lattice:{k}:{seed}",
-        n_var=2,
         bounds=((0.0, float(k - 1)), (0.0, float(k - 1))) if k > 1 else ((0.0, 0.0), (0.0, 0.0)),
         m=2,
         evaluator=evaluator,

@@ -228,6 +228,21 @@ class TestAdaptBounds:
 
 
 class TestGridInsert:
+    def test_span_past_the_largest_float_bins_from_halved_offsets(self):
+        # the bounds an overflowing padding leaves: hi - lo is inf there, so
+        # binning by it would put every point in cell 0, or give a NaN
+        big = sys.float_info.max
+        spec = GridSpec(ObjectiveVector((-big, -big)), ObjectiveVector((big, big)), 32)
+        archive = GridArchive(10, spec)
+        counters = Counters()
+        outcome, _ = archive.try_insert(sol(0, (1e308, 1e308)), counters)
+        assert outcome.accepted
+        assert occupancy_sorted(archive) == {(24, 24): (0,)}
+        for i, values in enumerate(((0.5, 0.5), (-1e308, 1e308), (1e308, -1e308)), 1):
+            archive.try_insert(sol(i, values), counters)
+        assert archive.spec is spec
+        assert occupancy_sorted(archive) == {(16, 16): (1,), (7, 24): (2,), (24, 7): (3,)}
+
     def test_empty_archive_accepts_into_its_cell(self):
         archive = GridArchive(5, unit_spec())
         counters = Counters()

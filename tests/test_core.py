@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moealab import (
@@ -16,7 +16,7 @@ from moealab import (
     nondominated_filter,
     weak_relations,
 )
-from moealab.core import first_dominated
+from moealab.core import first_dominated, staircase_run
 from oracles import (
     oracle_front_indices,
     oracle_front_values,
@@ -244,6 +244,62 @@ class TestWeakRelations:
             weak_relations(np.zeros((2, 2)), (0.0, 0.0, 0.0))
         with pytest.raises(DimensionMismatchError):
             weak_relations(np.empty((0, 2)), (0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+# half-integers, so queries fall on and between stairs; 0.0 is drawn with
+# either sign
+HALF_STEPS = st.integers(-2, 16).map(lambda k: k / 2)
+SIGNED = HALF_STEPS.flatmap(lambda x: st.sampled_from((x, -x)) if x == 0 else st.just(x))
+
+
+@st.composite
+def staircases(draw):
+    """Pairs in strictly increasing f1 and strictly decreasing f2."""
+    f1 = draw(st.lists(SIGNED, max_size=8, unique_by=float))
+    f2 = draw(st.lists(SIGNED, min_size=len(f1), max_size=len(f1), unique_by=float))
+    return list(zip(sorted(f1), sorted(f2, reverse=True)))
+
+
+@st.composite
+def staircase_queries(draw):
+    """A staircase and a point that equals a stair, is covered by one,
+    dominates a run of them, or is drawn anywhere (often sharing a stair's
+    f1 or f2)."""
+    stairs = draw(staircases())
+    kind = draw(st.sampled_from(("equal", "covered", "run", "any")))
+    if not stairs or kind == "any":
+        return stairs, (draw(SIGNED), draw(SIGNED))
+    k = draw(st.integers(0, len(stairs) - 1))
+    f1, f2 = stairs[k]
+    if kind == "equal":
+        # 0.0 == -0.0, so a flipped sign still equals the stair
+        return stairs, (f1 if f1 else -f1, f2 if f2 else -f2)
+    offsets = st.sampled_from((0.0, 0.5, 1.0))
+    if kind == "covered":
+        return stairs, (f1 + draw(offsets), f2 + draw(offsets))
+    last = draw(st.integers(k, len(stairs) - 1))
+    return stairs, (f1 - draw(offsets), stairs[last][1] - draw(offsets))
+
+
+class TestStaircaseRun:
+    @settings(max_examples=600, deadline=None)
+    @given(staircase_queries())
+    @example(([], (0.5, 0.5)))
+    def test_runs_match_a_brute_force_scan(self, case):
+        stairs, v = case
+        start, i, end = staircase_run(stairs, v)
+        assert 0 <= start <= i <= end <= len(stairs)
+        covering = [k for k, s in enumerate(stairs) if s[0] <= v[0] and s[1] <= v[1]]
+        covered = [k for k, s in enumerate(stairs) if v[0] <= s[0] and v[1] <= s[1]]
+        assert list(range(start, i)) == covering
+        # a stair equal to v is in both lists, and in the first run only
+        assert list(range(i, end)) == [k for k in covered if stairs[k] != v]
+        if start == i:
+            assert list(range(i, end)) == covered
+
+    def test_mismatched_dimension_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            staircase_run([(0.0, 1.0)], (0.0, 0.0, 0.0))
 
 
 def scan_with_dominates(a, solutions, counters):

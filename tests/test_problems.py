@@ -170,7 +170,6 @@ class TestBruteForceFront:
         # on a hand-built problem
         problem = ProblemSpec(
             id="lattice:101:0",
-            n_var=2,
             bounds=((0.0, 100.0), (0.0, 100.0)),
             m=2,
             evaluator=lambda genome: (0.0, 0.0),
